@@ -18,7 +18,6 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import FormatError, InputError
-from .scans import HAVE_NUMBA, njit
 
 DEFAULT_RATE = 48000
 DEFAULT_DURATION = 45.0
@@ -200,19 +199,7 @@ def _rbj_peaking(fc: float, q: float, gain_db: float, fs: int):
     return b / a[0], a / a[0]
 
 
-@njit(cache=True)
 def _envelope_follow(x_abs, a_att, a_rel):
-    env = np.empty_like(x_abs)
-    e = 0.0
-    for i in range(x_abs.shape[0]):
-        v = x_abs[i]
-        a = a_att if v > e else a_rel
-        e = e + a * (v - e)
-        env[i] = e
-    return env
-
-
-def _envelope_follow_py(x_abs, a_att, a_rel):
     env = np.empty_like(x_abs)
     e = 0.0
     for i in range(x_abs.shape[0]):
@@ -262,8 +249,7 @@ def apply_oracle(effect: OracleEffect, params_physical: dict, x: np.ndarray,
         ratio = params_physical["ratio"]
         a_att = 1.0 - np.exp(-1.0 / (fs * params_physical["attack_ms"] / 1000.0))
         a_rel = 1.0 - np.exp(-1.0 / (fs * params_physical["release_s"]))
-        follow = _envelope_follow if HAVE_NUMBA else _envelope_follow_py
-        env = follow(np.abs(x), a_att, a_rel)
+        env = _envelope_follow(np.abs(x), a_att, a_rel)
         env_db = 20.0 * np.log10(np.maximum(env, 1e-6))
         gain_db = np.minimum(0.0, (thr - env_db) * (1.0 - 1.0 / ratio))
         return x * 10.0 ** (gain_db / 20.0)
@@ -489,6 +475,8 @@ def load_wav(path, sample_rate: int = DEFAULT_RATE) -> np.ndarray:
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise FormatError(f"{path}: missing fmt or data chunk")
+    if len(fmt) < 16:
+        raise FormatError(f"{path}: fmt chunk of {len(fmt)} bytes is too short")
     tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if tag == 0xFFFE and len(fmt) >= 26:  # extensible: first two GUID bytes carry the tag
         tag = struct.unpack("<H", fmt[24:26])[0]
@@ -496,19 +484,22 @@ def load_wav(path, sample_rate: int = DEFAULT_RATE) -> np.ndarray:
         raise FormatError(f"{path}: expected mono, found {channels} channels")
     if rate != sample_rate:
         raise FormatError(f"{path}: expected {sample_rate} Hz, found {rate} Hz (no resampling)")
-    if tag == 1 and bits == 16:
+    if (tag, bits) not in ((1, 16), (1, 24), (3, 32)):
+        raise FormatError(f"{path}: unsupported format (tag={tag}, bits={bits}); "
+                          "need 16/24-bit integer or 32-bit float PCM")
+    if len(data) % (bits // 8):
+        raise FormatError(f"{path}: data chunk of {len(data)} bytes is not a whole number "
+                          f"of {bits}-bit samples")
+    if bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif tag == 1 and bits == 24:
+    elif bits == 24:
         raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         ints = (raw[:, 0].astype(np.int32) | (raw[:, 1].astype(np.int32) << 8)
                 | (raw[:, 2].astype(np.int32) << 16))
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         samples = ints.astype(np.float64) / float(1 << 23)
-    elif tag == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     else:
-        raise FormatError(f"{path}: unsupported format (tag={tag}, bits={bits}); "
-                          "need 16/24-bit integer or 32-bit float PCM")
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     return samples
 
 

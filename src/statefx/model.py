@@ -328,10 +328,11 @@ class Model:
         if arch == "lru":
             self.lru_weights().validate()
         elif arch == "s4d":
-            w = self.s4d_weights()
-            abar, _ = w.discretized()
-            if np.any(np.abs(abar) >= 1.0):
-                raise StabilityError("S4D discretized multipliers must satisfy |abar| < 1")
+            # s4d_discretize rejects delta <= 0 and Re(a) >= 0, which is exactly
+            # |abar| < 1; |abar| itself rounds to 1 for tiny steps that are stable.
+            abar, _ = self.s4d_weights().discretized()
+            if not np.all(np.isfinite(abar)):
+                raise StabilityError("S4D discretized multipliers must be finite")
 
     # -- state ----------------------------------------------------------------
 
@@ -545,22 +546,27 @@ class Model:
                 cache.update(cand_h=ch, cand_c=cc)
         return H, (h, c)
 
+    # The linear-recurrence scans keep (B, L, n) shapes but allocate their
+    # per-step arrays lane-major ((B, n, L) memory, seen through a transposed
+    # view), so that scans.diag_scan solves in place and elementwise products
+    # of those arrays stay lane-major too.
+
     def _scan_lru(self, state, u_seq, cache):
         w = self.lru_weights()
-        lam, gamma = w.lam(), w.gamma()
-        V = u_seq @ (w.U_re + 1j * w.U_im).T
-        pre = gamma * V + (w.b_re + 1j * w.b_im)
-        H = scans.diag_scan(state["h"], lam, pre)
+        pre = (w.U_re + 1j * w.U_im) @ u_seq.transpose(0, 2, 1)
+        pre *= w.gamma()[:, None]
+        pre += (w.b_re + 1j * w.b_im)[:, None]
+        H = scans.diag_scan(state["h"], w.lam(), pre.transpose(0, 2, 1))
         o_rec = np.real(H @ (w.W_re + 1j * w.W_im).T) + w.b_o
         if cache is not None:
-            cache.update(H=H, h0=state["h"].copy(), V=V)
+            cache.update(H=H, h0=state["h"].copy())
         return o_rec, H[:, -1].copy()
 
     def _scan_s4d(self, state, u_seq, cache):
         w = self.s4d_weights()
         abar, bbar = w.discretized()
-        pre = u_seq @ bbar.T
-        H = scans.diag_scan(state["h"], abar, pre)
+        pre = bbar @ u_seq.transpose(0, 2, 1)
+        H = scans.diag_scan(state["h"], abar, pre.transpose(0, 2, 1))
         o_rec = np.real(H @ (w.C_re + 1j * w.C_im).T) + w.D * u_seq
         if cache is not None:
             cache.update(H=H, h0=state["h"].copy())
@@ -570,15 +576,16 @@ class Model:
         w = self.s6_weights()
         B, L, _ = u_seq.shape
         a = w.a_diag()
+        ut = u_seq.transpose(0, 2, 1)
         zd = u_seq @ w.W_delta + w.b_delta[0]
         delta = softplus(zd)
-        abar = np.exp(delta[..., None] * a)
-        Bv = u_seq @ w.W_B.T + w.b_B
+        abar = np.exp(a[:, None] * delta[:, None, :]).transpose(0, 2, 1)
+        Bv = (w.W_B @ ut + w.b_B[:, None]).transpose(0, 2, 1)
         bbar = (abar - 1.0) / a * Bv
-        Cv = u_seq @ w.W_C.T + w.b_C
-        u_rep = np.repeat(u_seq, 2, axis=2)
+        Cv = (w.W_C @ ut + w.b_C[:, None]).transpose(0, 2, 1)
+        u_rep = np.repeat(ut, 2, axis=1).transpose(0, 2, 1)
         pre = bbar * u_rep
-        H = scans.tv_scan(state["h"], abar, pre)
+        H = scans.diag_scan(state["h"], abar, pre)
         o_rec = (Cv * H).reshape(B, L, SSM_IN, 2).sum(axis=3) + w.D * u_seq
         if cache is not None:
             cache.update(H=H, h0=state["h"].copy(), zd=zd, delta=delta,
@@ -688,21 +695,33 @@ class Checkpoint:
             raise FormatError(f"{path}: bad magic line; not a statefx checkpoint")
         kv: dict[str, str] = {}
         specs: list[tuple[str, tuple[int, ...]]] = []
-        for line in header[1:]:
-            key, _, val = line.partition("=")
-            if key == "array":
-                parts = val.split()
-                specs.append((parts[0], tuple(int(d) for d in parts[1:])))
-            else:
-                kv[key] = val
-        if int(kv.get("format_version", -1)) != CHECKPOINT_VERSION:
+        try:
+            for line in header[1:]:
+                key, _, val = line.partition("=")
+                if key == "array":
+                    name, *dims = val.split()
+                    specs.append((name, tuple(int(d) for d in dims)))
+                else:
+                    kv[key] = val
+            version = int(kv.get("format_version", -1))
+        except ValueError as e:
+            raise FormatError(f"{path}: malformed header: {e}") from None
+        if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported format version {kv.get('format_version')!r}")
-        cfg_kwargs = {"architecture": kv["architecture"]}
-        for name in _CONFIG_INT_FIELDS:
-            cfg_kwargs[name] = int(kv[name])
-        for name in _CONFIG_FLOAT_FIELDS:
-            cfg_kwargs[name] = float(kv[name])
-        config = ModelConfig(**cfg_kwargs)
+        if any(d < 0 for _, shape in specs for d in shape):
+            raise FormatError(f"{path}: negative array dimension in header")
+        try:
+            cfg_kwargs = {"architecture": kv["architecture"]}
+            for name in _CONFIG_INT_FIELDS:
+                cfg_kwargs[name] = int(kv[name])
+            for name in _CONFIG_FLOAT_FIELDS:
+                cfg_kwargs[name] = float(kv[name])
+            config = ModelConfig(**cfg_kwargs)
+            best_epoch = int(kv.get("best_epoch", -1))
+        except KeyError as e:
+            raise FormatError(f"{path}: missing header field {e}") from None
+        except ValueError as e:
+            raise FormatError(f"{path}: bad header value: {e}") from None
 
         total = sum(int(np.prod(shape)) if shape else 1 for _, shape in specs)
         if len(body) != 8 * total:
@@ -720,14 +739,16 @@ class Checkpoint:
                 history[name[len("history."):]] = arr
             else:
                 params[name] = arr
-        ck = cls(config, params, history, int(kv.get("best_epoch", -1)))
-        expected = set(Model.init(config, seed=0).params)
-        if set(params) != expected:
-            missing = expected - set(params)
-            extra = set(params) - expected
+        expected = Model.init(config, seed=0).params
+        if set(params) != set(expected):
+            missing = set(expected) - set(params)
+            extra = set(params) - set(expected)
             raise FormatError(f"{path}: parameter set mismatch (missing {sorted(missing)}, "
                               f"unexpected {sorted(extra)})")
-        return ck
+        wrong = sorted(k for k, v in expected.items() if params[k].shape != v.shape)
+        if wrong:
+            raise FormatError(f"{path}: wrong array shape for {wrong}")
+        return cls(config, params, history, best_epoch)
 
 
 def save_checkpoint(model: Model, path, history=None, best_epoch: int = -1) -> None:

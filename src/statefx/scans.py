@@ -1,35 +1,23 @@
-"""Per-sample recurrence loops, with optional numba acceleration.
+"""Recurrence scans: the gated LSTM/ED loops and the diagonal linear solve.
 
-Only the stateful inner loops live here; everything batched across time
+Only the stateful parts live here; everything batched across time
 (projections, readouts, conditioning) stays in vectorized numpy in the
-model and training modules.  When numba is importable the loops run as
-compiled scalar kernels, otherwise as per-step numpy code.  Set
-STATEFX_BACKEND=numpy to force the fallback; both paths are equivalent to
-float rounding and the test suite compares them.
+model and training modules.  The LSTM family steps one sample at a time.
+The diagonal linear recurrences (LRU, S4D, S6) need no step loop: over all
+(batch, state) lanes, h_t = a_t*h_{t-1} + p_t is one unit lower-bidiagonal
+system (I - S(a)) h = p, solved by a single LAPACK banded triangular solve,
+and its reverse-time adjoint is the same band solved transposed.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
+from scipy.linalg.lapack import dtbtrs, ztbtrs
 
-try:  # pragma: no cover - exercised implicitly
-    if os.environ.get("STATEFX_BACKEND", "").lower() == "numpy":
-        raise ImportError("numba disabled by STATEFX_BACKEND")
-    from numba import njit
+from .errors import NumericError
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# No compiled backend exists; the benchmark's environment fingerprint reads this.
+HAVE_NUMBA = False
 
 
 def _sigmoid_np(x):
@@ -44,55 +32,6 @@ def _sigmoid_np(x):
 # ---------------------------------------------------------------------------
 # LSTM / ED forward
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _lstm_fwd_kernel(W, zin, h0, c0, merge, ch, cc,
-                     H, F, I, O, G, CP, TC, HP, HPR, CPR, want_cache):
-    B, L, four_n = zin.shape
-    n = four_n // 4
-    h_out = np.empty((B, n))
-    c_out = np.empty((B, n))
-    z = np.empty(four_n)
-    for b in range(B):
-        h = h0[b].copy()
-        c = c0[b].copy()
-        for t in range(L):
-            if merge:
-                for j in range(n):
-                    if want_cache:
-                        HPR[b, t, j] = h[j]
-                        CPR[b, t, j] = c[j]
-                    h[j] = ch[b, t, j] / (1.0 + math.exp(-h[j]))
-                    c[j] = cc[b, t, j] / (1.0 + math.exp(-c[j]))
-            for r in range(four_n):
-                acc = zin[b, t, r]
-                for j in range(n):
-                    acc += W[r, j] * h[j]
-                z[r] = acc
-            for j in range(n):
-                if want_cache:
-                    HP[b, t, j] = h[j]
-                    CP[b, t, j] = c[j]
-                f = 1.0 / (1.0 + math.exp(-z[j]))
-                i = 1.0 / (1.0 + math.exp(-z[n + j]))
-                o = 1.0 / (1.0 + math.exp(-z[2 * n + j]))
-                g = math.tanh(z[3 * n + j])
-                cj = f * c[j] + i * g
-                tc = math.tanh(cj)
-                hj = o * tc
-                c[j] = cj
-                h[j] = hj
-                H[b, t, j] = hj
-                if want_cache:
-                    F[b, t, j] = f
-                    I[b, t, j] = i
-                    O[b, t, j] = o
-                    G[b, t, j] = g
-                    TC[b, t, j] = tc
-        h_out[b] = h
-        c_out[b] = c
-    return h_out, c_out
-
 
 def _lstm_fwd_numpy(W, zin, h0, c0, merge, ch, cc,
                     H, F, I, O, G, CP, TC, HP, HPR, CPR, want_cache):
@@ -138,19 +77,13 @@ def lstm_forward(W, zin, h0, c0, ch=None, cc=None, want_cache=False):
     merge = ch is not None
     shape = (B, L, n)
     H = np.empty(shape)
+    F = I = O = G = CP = TC = HP = HPR = CPR = None
     if want_cache:
-        F, I, O, G = (np.empty(shape) for _ in range(4))
-        CP, TC, HP = (np.empty(shape) for _ in range(3))
-        HPR = np.empty(shape) if merge else np.empty((1, 1, n))
-        CPR = np.empty(shape) if merge else np.empty((1, 1, n))
-    else:
-        F = I = O = G = CP = TC = HP = HPR = CPR = np.empty((1, 1, n))
-    if not merge:
-        ch = cc = np.empty((1, 1, n))
-    fn = _lstm_fwd_kernel if HAVE_NUMBA else _lstm_fwd_numpy
-    h, c = fn(np.ascontiguousarray(W), np.ascontiguousarray(zin), h0, c0, merge,
-              np.ascontiguousarray(ch), np.ascontiguousarray(cc),
-              H, F, I, O, G, CP, TC, HP, HPR, CPR, want_cache)
+        F, I, O, G, CP, TC, HP = (np.empty(shape) for _ in range(7))
+        if merge:
+            HPR, CPR = np.empty(shape), np.empty(shape)
+    h, c = _lstm_fwd_numpy(W, zin, h0, c0, merge, ch, cc,
+                           H, F, I, O, G, CP, TC, HP, HPR, CPR, want_cache)
     cache = None
     if want_cache:
         cache = {"f": F, "i": I, "o": O, "g": G, "c_prev": CP, "tanh_c": TC, "h_prev": HP}
@@ -163,40 +96,6 @@ def lstm_forward(W, zin, h0, c0, ch=None, cc=None, want_cache=False):
 # ---------------------------------------------------------------------------
 # LSTM / ED backward
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _lstm_bwd_kernel(W, d_orec, F, I, O, G, CP, TC, merge, ch, cc, HPR, CPR,
-                     d_z, d_ch, d_cc):
-    B, L, n = d_orec.shape
-    for b in range(B):
-        d_h = np.zeros(n)
-        d_c = np.zeros(n)
-        for t in range(L - 1, -1, -1):
-            for j in range(n):
-                d_ht = d_orec[b, t, j] + d_h[j]
-                tc = TC[b, t, j]
-                f = F[b, t, j]; i = I[b, t, j]; o = O[b, t, j]; g = G[b, t, j]
-                d_o = d_ht * tc
-                d_ct = d_c[j] + d_ht * o * (1.0 - tc * tc)
-                d_z[b, t, j] = d_ct * CP[b, t, j] * f * (1.0 - f)
-                d_z[b, t, n + j] = d_ct * g * i * (1.0 - i)
-                d_z[b, t, 2 * n + j] = d_o * o * (1.0 - o)
-                d_z[b, t, 3 * n + j] = d_ct * i * (1.0 - g * g)
-                d_c[j] = d_ct * f
-            for j in range(n):
-                acc = 0.0
-                for r in range(4 * n):
-                    acc += d_z[b, t, r] * W[r, j]
-                d_h[j] = acc
-            if merge:
-                for j in range(n):
-                    sh = 1.0 / (1.0 + math.exp(-HPR[b, t, j]))
-                    sc = 1.0 / (1.0 + math.exp(-CPR[b, t, j]))
-                    d_ch[b, t, j] = d_h[j] * sh
-                    d_cc[b, t, j] = d_c[j] * sc
-                    d_h[j] = d_h[j] * ch[b, t, j] * sh * (1.0 - sh)
-                    d_c[j] = d_c[j] * cc[b, t, j] * sc * (1.0 - sc)
-
 
 def _lstm_bwd_numpy(W, d_orec, F, I, O, G, CP, TC, merge, ch, cc, HPR, CPR,
                     d_z, d_ch, d_cc):
@@ -231,147 +130,97 @@ def lstm_backward(W, d_orec, cache, ch=None, cc=None):
     B, L, n = d_orec.shape
     merge = ch is not None
     d_z = np.empty((B, L, 4 * n))
-    d_ch = np.empty((B, L, n)) if merge else np.empty((1, 1, n))
-    d_cc = np.empty((B, L, n)) if merge else np.empty((1, 1, n))
-    HPR = cache.get("h_prev_raw", np.empty((1, 1, n)))
-    CPR = cache.get("c_prev_raw", np.empty((1, 1, n)))
-    if not merge:
-        ch = cc = np.empty((1, 1, n))
-    fn = _lstm_bwd_kernel if HAVE_NUMBA else _lstm_bwd_numpy
-    fn(np.ascontiguousarray(W), np.ascontiguousarray(d_orec),
-       cache["f"], cache["i"], cache["o"], cache["g"], cache["c_prev"], cache["tanh_c"],
-       merge, np.ascontiguousarray(ch), np.ascontiguousarray(cc), HPR, CPR,
-       d_z, d_ch, d_cc)
-    return d_z, (d_ch if merge else None), (d_cc if merge else None)
+    d_ch = np.empty((B, L, n)) if merge else None
+    d_cc = np.empty((B, L, n)) if merge else None
+    _lstm_bwd_numpy(W, d_orec,
+                    cache["f"], cache["i"], cache["o"], cache["g"], cache["c_prev"], cache["tanh_c"],
+                    merge, ch, cc, cache.get("h_prev_raw"), cache.get("c_prev_raw"), d_z, d_ch, d_cc)
+    return d_z, d_ch, d_cc
 
 
 # ---------------------------------------------------------------------------
-# Diagonal scans (LRU / S4D: constant multiplier; S6: per-step multiplier)
+# Diagonal linear scans (LRU / S4D: constant multiplier; S6: per-step multiplier)
 # ---------------------------------------------------------------------------
+#
+# Arrays are shaped (B, L, n) but the solve wants lane-major memory, where
+# each lane's L steps are contiguous: x.transpose(0, 2, 1) C-contiguous.
+# Callers that build pre / gh_read that way get the result written in place.
 
-@njit(cache=True)
-def _diag_scan_kernel(h0, mult, pre, H):
-    B, L, n = pre.shape
-    for b in range(B):
-        h = h0[b].copy()
-        for t in range(L):
-            for k in range(n):
-                h[k] = mult[k] * h[k] + pre[b, t, k]
-                H[b, t, k] = h[k]
+def _lane_major(x, dtype):
+    """(B, n, L) C-contiguous view of a (B, L, n) array; copies only if needed."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1), dtype=dtype)
 
 
-def _diag_scan_numpy(h0, mult, pre, H):
-    h = h0.copy()
-    for t in range(pre.shape[1]):
-        h = mult * h + pre[:, t]
-        H[:, t] = h
+def _solve(a_rest, rhs, trans):
+    """Solve (I - S(a)) x = rhs in place over all lanes of a (B, n, L) array.
 
-
-def diag_scan(h0, mult, pre):
-    """h_t = mult * h_{t-1} + pre_t with a constant diagonal multiplier."""
-    H = np.empty_like(pre)
-    h0 = h0.astype(pre.dtype, copy=True)
-    mult = mult.astype(pre.dtype, copy=True)
-    if HAVE_NUMBA:
-        _diag_scan_kernel(h0, mult, np.ascontiguousarray(pre), H)
-    else:
-        _diag_scan_numpy(h0, mult, pre, H)
-    return H
-
-
-@njit(cache=True)
-def _diag_scan_bwd_kernel(gh_read, H, h0, mult_conj, g_pre, g_mult):
-    B, L, n = gh_read.shape
-    for b in range(B):
-        carry = np.zeros(n, dtype=gh_read.dtype)
-        for t in range(L - 1, -1, -1):
-            for k in range(n):
-                gh = gh_read[b, t, k] + carry[k]
-                h_prev = H[b, t - 1, k] if t > 0 else h0[b, k]
-                g_mult[k] += gh * np.conj(h_prev)
-                g_pre[b, t, k] = gh
-                carry[k] = mult_conj[k] * gh
-
-
-def _diag_scan_bwd_numpy(gh_read, H, h0, mult_conj, g_pre, g_mult):
-    B, L, n = gh_read.shape
-    carry = np.zeros((B, n), dtype=gh_read.dtype)
-    for t in range(L - 1, -1, -1):
-        gh = gh_read[:, t] + carry
-        h_prev = H[:, t - 1] if t > 0 else h0
-        g_mult += np.einsum("bk,bk->k", gh, np.conj(h_prev))
-        g_pre[:, t] = gh
-        carry = mult_conj * gh
-
-
-def diag_scan_backward(gh_read, H, h0, mult):
-    """Reverse pass of diag_scan: returns (g_pre per step, g_mult summed).
-
-    Gradients may be packed complex; the multiplier enters conjugated.
+    S(a) puts a_t (t >= 1) on the subdiagonal within each lane; ``a_rest``
+    holds those multipliers, broadcastable to (B, n, L - 1).  The band is
+    built in LAPACK's Fortran layout, so no copy is made on the way in.
     """
-    g_pre = np.empty_like(gh_read)
-    g_mult = np.zeros(gh_read.shape[2], dtype=gh_read.dtype)
-    h0 = h0.astype(gh_read.dtype, copy=True)
-    mult_conj = np.conj(mult).astype(gh_read.dtype, copy=True)
-    if HAVE_NUMBA:
-        _diag_scan_bwd_kernel(np.ascontiguousarray(gh_read), np.ascontiguousarray(H),
-                              h0, mult_conj, g_pre, g_mult)
-    else:
-        _diag_scan_bwd_numpy(gh_read, H, h0, mult_conj, g_pre, g_mult)
-    return g_pre, g_mult
+    band = np.empty(rhs.shape + (2,), rhs.dtype)   # row 0 (unit diagonal) is never read
+    np.negative(a_rest, out=band[..., :-1, 1])
+    band[..., -1, 1] = 0.0                         # lanes do not couple
+    tbtrs = ztbtrs if rhs.dtype.kind == "c" else dtbtrs
+    # A complex matmul (OpenBLAS zgemm) can leave the upper AVX register
+    # state dirty; the SSE-compiled solve then ran ~18x slower on an AVX-512
+    # Xeon (22 ms against 1.2 ms at B=3, L=2400).  A vectorized numpy loop
+    # ends with vzeroupper, which clears that state.
+    np.add(np.zeros(64), 0.0)
+    _, info = tbtrs(band.reshape(-1, 2).T, rhs.reshape(-1, 1), uplo="L", trans=trans,
+                    diag="U", overwrite_b=1)
+    if info != 0:
+        raise NumericError(f"banded triangular solve failed (info={info})")
 
 
-@njit(cache=True)
-def _tv_scan_kernel(h0, mult, pre, H):
-    B, L, n = pre.shape
-    for b in range(B):
-        h = h0[b].copy()
-        for t in range(L):
-            for k in range(n):
-                h[k] = mult[b, t, k] * h[k] + pre[b, t, k]
-                H[b, t, k] = h[k]
+def _lanes(a):
+    """Split the multiplier over (B, n, L) lanes into (a_0, a_1..a_{L-1}).
+
+    ``a`` is (n,), constant in time, or (B, L, n), per step.
+    """
+    if a.ndim == 1:
+        return a, a[:, None]
+    A = a.transpose(0, 2, 1)
+    return A[..., 0], A[..., 1:]
 
 
-def tv_scan(h0, mult, pre):
-    """h_t = mult_t * h_{t-1} + pre_t with a per-step diagonal multiplier."""
-    H = np.empty_like(pre)
-    if HAVE_NUMBA:
-        _tv_scan_kernel(h0.copy(), np.ascontiguousarray(mult), np.ascontiguousarray(pre), H)
-    else:
-        h = h0.copy()
-        for t in range(pre.shape[1]):
-            h = mult[:, t] * h + pre[:, t]
-            H[:, t] = h
-    return H
+def diag_scan(h0, a, pre):
+    """h_t = a_t * h_{t-1} + pre_t over every (batch, state) lane; returns H.
+
+    ``h0`` is (B, n), ``pre`` (B, L, n) and ``a`` either (n,), constant in
+    time, or (B, L, n), per step.  H comes back (B, L, n) in lane-major
+    memory; when ``pre`` is lane-major already and of the result dtype, H
+    is written over it.
+    """
+    a_0, a_rest = _lanes(a)
+    P = _lane_major(pre, np.result_type(h0, a, pre))
+    P[..., 0] += a_0 * h0
+    _solve(a_rest, P, "N")
+    return P.transpose(0, 2, 1)
 
 
-@njit(cache=True)
-def _tv_scan_bwd_kernel(gh_read, H, h0, mult, g_pre, g_mult_t):
-    B, L, n = gh_read.shape
-    for b in range(B):
-        carry = np.zeros(n)
-        for t in range(L - 1, -1, -1):
-            for k in range(n):
-                gh = gh_read[b, t, k] + carry[k]
-                h_prev = H[b, t - 1, k] if t > 0 else h0[b, k]
-                g_mult_t[b, t, k] = gh * h_prev
-                g_pre[b, t, k] = gh
-                carry[k] = mult[b, t, k] * gh
+def diag_scan_backward(gh_read, H, h0, a):
+    """Adjoint of diag_scan: returns (g_pre, g_a).
+
+    ``gh_read`` holds dL/dH from the read-out, ``H`` the forward states.
+    g_pre solves the reverse-time scan g_t = gh_read_t + conj(a_{t+1}) g_{t+1},
+    written over ``gh_read`` when it is lane-major.  g_a matches ``a``:
+    summed over batch and time for a constant multiplier, per step
+    otherwise.  Complex gradients are packed (dL/dRe + i dL/dIm).
+    """
+    G = _lane_major(gh_read, np.result_type(gh_read, H, a))
+    _solve(_lanes(a)[1], G, "C")
+    Hl = H.transpose(0, 2, 1)
+    if a.ndim == 1:
+        g_a = (np.einsum("bkt,bkt->k", G[..., 1:], np.conj(Hl[..., :-1]))
+               + np.einsum("bk,bk->k", G[..., 0], np.conj(h0)))
+        return G.transpose(0, 2, 1), g_a
+    g_a = np.empty_like(G)
+    np.multiply(G[..., 1:], np.conj(Hl[..., :-1]), out=g_a[..., 1:])
+    g_a[..., 0] = G[..., 0] * np.conj(h0)
+    return G.transpose(0, 2, 1), g_a.transpose(0, 2, 1)
 
 
-def tv_scan_backward(gh_read, H, h0, mult):
-    """Reverse pass of tv_scan: returns (g_pre, per-step g_mult)."""
-    g_pre = np.empty_like(gh_read)
-    g_mult_t = np.empty_like(gh_read)
-    if HAVE_NUMBA:
-        _tv_scan_bwd_kernel(np.ascontiguousarray(gh_read), np.ascontiguousarray(H),
-                            h0, np.ascontiguousarray(mult), g_pre, g_mult_t)
-    else:
-        B, L, n = gh_read.shape
-        carry = np.zeros((B, n))
-        for t in range(L - 1, -1, -1):
-            gh = gh_read[:, t] + carry
-            g_mult_t[:, t] = gh * (H[:, t - 1] if t > 0 else h0)
-            g_pre[:, t] = gh
-            carry = mult[:, t] * gh
-    return g_pre, g_mult_t
+# The benchmark tracer wraps these names; S6 runs through diag_scan above.
+tv_scan = diag_scan
+tv_scan_backward = diag_scan_backward

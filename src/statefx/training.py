@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scans
 from .cells import ED_KERNEL, ED_SPLIT, LSTM_UNITS, SSM_IN
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, StabilityError
 from .model import Checkpoint, Model
 from .numerics import sigmoid
 
@@ -110,7 +110,8 @@ class TrainHistory:
 
 
 class TrainingDivergedError(NumericError):
-    """Raised when a loss or gradient goes non-finite; carries the history."""
+    """Raised when a loss or gradient goes non-finite or the recurrence turns
+    unstable; carries the history."""
 
     def __init__(self, message: str, history: TrainHistory):
         super().__init__(message)
@@ -237,25 +238,27 @@ def _backward_lstm_family(model, cache, d_orec, g) -> np.ndarray:
 
 def _backward_lru(model, cache, d_orec, g) -> np.ndarray:
     w = model.lru_weights()
-    H, h0, V, u_seq = cache["H"], cache["h0"], cache["V"], cache["u_seq"]
+    H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
     Wc = w.W_re + 1j * w.W_im
     Uc = w.U_re + 1j * w.U_im
     lam, gamma = w.lam(), w.gamma()
 
-    g["lru.W_re"] = np.einsum("blo,blk->ok", d_orec, H.real)
-    g["lru.W_im"] = -np.einsum("blo,blk->ok", d_orec, H.imag)
+    gW = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
+    g["lru.W_re"], g["lru.W_im"] = gW.real.copy(), -gW.imag
     g["lru.b_o"] = d_orec.sum(axis=(0, 1))
-    gh_read = d_orec.astype(np.complex128) @ np.conj(Wc)
+    # lane-major like H, so the adjoint solve runs in place
+    gh_read = (np.conj(Wc).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
 
     g_pre, g_lam = scans.diag_scan_backward(gh_read, H, h0, lam)
 
+    # pre = gamma * (Uc @ u) + b
     gb = g_pre.sum(axis=(0, 1))
     g["lru.b_re"], g["lru.b_im"] = gb.real.copy(), gb.imag.copy()
-    gV = gamma * g_pre
-    g_gamma = np.einsum("blk,blk->k", np.conj(V), g_pre).real
-    gUc = np.einsum("blk,blu->ku", gV, u_seq)
+    g_Uu = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
+    gUc = gamma[:, None] * g_Uu
     g["lru.U_re"], g["lru.U_im"] = gUc.real.copy(), gUc.imag.copy()
-    d_useq = (gV @ np.conj(Uc)).real
+    g_gamma = (np.conj(Uc) * g_Uu).sum(axis=1).real
+    d_useq = (g_pre @ (gamma[:, None] * np.conj(Uc))).real
 
     # lambda = exp(-exp(nu) + i theta); gamma = sqrt(1 - exp(-2 exp(nu)))
     gw = np.conj(lam) * g_lam
@@ -273,15 +276,16 @@ def _backward_s4d(model, cache, d_orec, g) -> np.ndarray:
     delta = w.delta()
     abar, bbar = w.discretized()
 
-    gCc = np.einsum("blo,blk->ok", d_orec, np.conj(H))
+    gCc = np.conj((d_orec.transpose(0, 2, 1) @ H).sum(axis=0))
     g["s4d.C_re"], g["s4d.C_im"] = gCc.real.copy(), gCc.imag.copy()
     g["s4d.D"] = np.einsum("blu,blu->u", d_orec, u_seq)
     d_useq = d_orec * w.D
-    gh_read = d_orec.astype(np.complex128) @ np.conj(Cc)
+    # lane-major like H, so the adjoint solve runs in place
+    gh_read = (np.conj(Cc).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
 
     g_pre, g_abar = scans.diag_scan_backward(gh_read, H, h0, abar)
 
-    g_bbar = np.einsum("blk,blu->ku", g_pre, u_seq)
+    g_bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
     d_useq = d_useq + (g_pre @ np.conj(bbar)).real
 
     # bbar = s * B with s = (abar - 1)/a
@@ -312,13 +316,14 @@ def _backward_s6(model, cache, d_orec, g) -> np.ndarray:
     a = w.a_diag()
     B, L, _ = u_seq.shape
 
-    d_orep = np.repeat(d_orec, 2, axis=2)
+    # lane-major like H, so the adjoint solve runs in place
+    d_orep = np.repeat(d_orec.transpose(0, 2, 1), 2, axis=1).transpose(0, 2, 1)
     gCv = d_orep * H
     gh_read = d_orep * Cv
     g["s6.D"] = np.einsum("blu,blu->u", d_orec, u_seq)
     d_useq = d_orec * w.D
 
-    g_pre, g_abar_t = scans.tv_scan_backward(gh_read, H, h0, abar)
+    g_pre, g_abar_t = scans.diag_scan_backward(gh_read, H, h0, abar)
 
     g_bbar = g_pre * u_rep
     d_useq = d_useq + (g_pre * bbar).reshape(B, L, SSM_IN, 2).sum(axis=3)
@@ -499,7 +504,11 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
                     adam_update(model.params, grads, moments, lr)
                     total_loss += loss
                     n_updates += 1
-            model.check_stability()
+            try:
+                model.check_stability()
+            except StabilityError as e:
+                history.stop_epoch = epoch
+                raise TrainingDivergedError(str(e), history) from None
 
         mse_val, esr_val, _ = evaluate_streams(model, split.val)
         history.train_loss.append(total_loss / max(n_updates, 1))

@@ -119,6 +119,46 @@ def test_eval_incompatible_checkpoint(dataset_dir, tmp_path):
     assert code == cli.EXIT_INPUT
 
 
+def _edit_header(path, edit):
+    blob = path.read_bytes()
+    cut = blob.index(b"\nend\n")
+    lines = blob[:cut].decode("ascii").split("\n")
+    path.write_bytes("\n".join(edit(lines)).encode("ascii") + blob[cut:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ls: [("format_version=one" if line.startswith("format_version=") else line) for line in ls],
+    lambda ls: [line for line in ls if not line.startswith("architecture=")],
+    lambda ls: [line for line in ls if not line.startswith("cond_dim=")],
+    lambda ls: [("cond_dim=1.5" if line.startswith("cond_dim=") else line) for line in ls],
+    lambda ls: [("architecture=gru" if line.startswith("architecture=") else line) for line in ls],
+    lambda ls: ls + ["array="],
+    lambda ls: [(line + " x" if line.startswith("array=proj.W") else line) for line in ls],
+    lambda ls: [(line.replace(" ", " -") if line.startswith("array=proj.W") else line) for line in ls],
+], ids=["version", "no-arch", "no-config-key", "bad-int", "unknown-arch", "empty-array",
+        "bad-dim", "negative-dim"])
+def test_eval_malformed_checkpoint_format_error(dataset_dir, tmp_path, capsys, edit):
+    ckpt = tmp_path / "m.sfx"
+    save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=0), ckpt)
+    _edit_header(ckpt, edit)
+    code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                "--composition", "1", "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FORMAT
+    assert err.startswith("format error:") and "Traceback" not in err
+
+
+def test_eval_checkpoint_wrong_array_shape_format_error(dataset_dir, tmp_path):
+    ckpt = tmp_path / "m.sfx"
+    save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=0), ckpt)
+    # same byte count, transposed shape
+    _edit_header(ckpt, lambda ls: [("array=proj.W 64 6" if line.startswith("array=proj.W") else line)
+                                   for line in ls])
+    code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                "--composition", "1", "--out", str(tmp_path / "e")])
+    assert code == cli.EXIT_FORMAT
+
+
 def test_render_scheduled_params_match_constant(dataset_dir, tmp_path):
     ckpt_path = tmp_path / "m.sfx"
     save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=1), seed=2), ckpt_path)

@@ -284,6 +284,31 @@ def test_wav_wrong_rate_rejected(tmp_path):
         load_wav(path)
 
 
+@pytest.mark.parametrize("tag,bits,nbytes", [(1, 16, 7), (1, 24, 10), (3, 32, 6)])
+def test_wav_partial_sample_rejected(tmp_path, tag, bits, nbytes):
+    import struct
+    data = bytes(nbytes)
+    path = tmp_path / "odd.wav"
+    width = bits // 8
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + len(data) + (len(data) & 1)) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, tag, 1, FS, FS * width, width, bits))
+        fh.write(b"data" + struct.pack("<I", len(data)) + data + bytes(len(data) & 1))
+    with pytest.raises(FormatError, match="whole number"):
+        load_wav(path)
+
+
+def test_wav_short_fmt_chunk_rejected(tmp_path):
+    import struct
+    path = tmp_path / "short.wav"
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + 16 + 12) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<IHHI", 8, 1, 1, FS))
+        fh.write(b"data" + struct.pack("<I", 4) + bytes(4))
+    with pytest.raises(FormatError, match="fmt"):
+        load_wav(path)
+
+
 def test_wav_garbage_rejected(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"this is not audio at all")

@@ -6,6 +6,7 @@ from statefx.errors import (
     DimensionError,
     FormatError,
     InputError,
+    StabilityError,
 )
 from statefx.model import (
     ARCHITECTURES,
@@ -298,6 +299,16 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     p.write_bytes(b"not a checkpoint\nend\n" + b"\x00" * 64)
     with pytest.raises(FormatError):
         Checkpoint.load(p)
+
+
+def test_s4d_tiny_step_passes_stability_check():
+    # delta = exp(-40) rounds |abar| to 1, yet delta > 0 and Re(a) < 0 make it stable
+    m = make_model("s4d", cond_dim=0)
+    m.params["s4d.log_delta"][:] = -40.0
+    m.check_stability()
+    m.params["s4d.log_delta"][0] = np.nan
+    with pytest.raises(StabilityError):
+        m.check_stability()
 
 
 def test_dataset_compat_check():

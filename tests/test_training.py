@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from statefx.data import build_dataset, get_effect, make_split_compositions, resolve_composition
-from statefx.errors import InputError, NumericError
+from statefx.errors import InputError, NumericError, StabilityError
 from statefx.model import ARCHITECTURES, Model, ModelConfig
 from statefx.training import (
     AdamState,
     Stream,
     TrainConfig,
+    TrainingDivergedError,
     TrainSplit,
     adam_update,
     backward_segment,
@@ -233,6 +234,18 @@ def test_identity_learning_improves_val_loss():
         return min(hist.val_loss) < 0.1 * hist.val_loss[0]
     _, hist = train(m, _identity_split(duration=6.0), cfg, epoch_callback=cb)
     assert min(hist.val_loss) < 0.1 * hist.val_loss[0]
+
+
+def test_instability_during_training_keeps_history():
+    m = Model.init(ModelConfig("s4d", cond_dim=0), seed=0)
+
+    def unstable():
+        raise StabilityError("S4D discretized multipliers must be finite")
+    m.check_stability = unstable
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(m, _identity_split(), TrainConfig(max_epochs=2, batch_size=2, seed=0))
+    assert exc.value.history.stop_epoch == 0
+    assert "finite" in str(exc.value)
 
 
 def test_stream_requires_full_segment():
