@@ -176,11 +176,17 @@ class LruWeights:
     def gamma(self) -> np.ndarray:
         return np.sqrt(1.0 - np.exp(-2.0 * np.exp(self.nu)))
 
+    def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal-LTI coefficients (lambda, s): the input map is s * U."""
+        return self.lam(), self.gamma()
+
     def validate(self) -> None:
-        if not np.all(np.isfinite(self.nu)):
-            raise StabilityError("LRU nu must be finite")
-        if np.any(np.abs(self.lam()) >= 1.0):
-            raise StabilityError("LRU recurrent multipliers must satisfy |lambda| < 1")
+        # exp(nu) > 0 is exactly |lambda| < 1; |lambda| itself rounds to 1
+        # for tiny exp(nu) that are stable.
+        if not (np.all(np.isfinite(self.nu)) and np.all(np.isfinite(self.theta))):
+            raise StabilityError("LRU nu and theta must be finite")
+        if np.any(np.exp(self.nu) <= 0.0):
+            raise StabilityError("LRU recurrent multipliers must satisfy |lambda| < 1 (exp(nu) > 0)")
 
 
 @dataclass
@@ -235,6 +241,17 @@ class S4dWeights:
     def discretized(self) -> tuple[np.ndarray, np.ndarray]:
         return s4d_discretize(self.a_diag(), self.B_re + 1j * self.B_im, self.delta())
 
+    def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal-LTI coefficients (abar, s): bbar = s * B."""
+        return s4d_zoh(self.a_diag(), self.delta())
+
+    def validate(self) -> None:
+        # s4d_zoh rejects delta <= 0 and Re(a) >= 0, which is exactly
+        # |abar| < 1; |abar| itself rounds to 1 for tiny steps that are stable.
+        abar, _ = self.coeffs()
+        if not np.all(np.isfinite(abar)):
+            raise StabilityError("S4D discretized multipliers must be finite")
+
 
 @dataclass
 class SsmState:
@@ -246,10 +263,10 @@ class SsmState:
         return SsmState(self.h.copy())
 
 
-def s4d_discretize(a_diag: np.ndarray, B: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order-hold discretization of a diagonal continuous system.
+def s4d_zoh(a_diag: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold multiplier and input scale of a diagonal continuous system.
 
-    abar_k = exp(delta_k a_k); bbar_kj = (abar_k - 1) / a_k * B_kj.
+    abar_k = exp(delta_k a_k); s_k = (abar_k - 1) / a_k.
     Requires Re(a_k) < 0 and delta_k > 0 so that |abar_k| < 1.
     """
     a_diag = np.asarray(a_diag, dtype=np.complex128)
@@ -259,8 +276,14 @@ def s4d_discretize(a_diag: np.ndarray, B: np.ndarray, delta: np.ndarray) -> tupl
     if np.any(delta <= 0.0):
         raise StabilityError("s4d_discretize needs delta > 0")
     abar = np.exp(delta * a_diag)
-    bbar = ((abar - 1.0) / a_diag)[:, None] * np.asarray(B, dtype=np.complex128)
-    return abar, bbar
+    return abar, (abar - 1.0) / a_diag
+
+
+def s4d_discretize(a_diag: np.ndarray, B: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold discretization: abar_k = exp(delta_k a_k) and
+    bbar_kj = (abar_k - 1) / a_k * B_kj (see s4d_zoh)."""
+    abar, s = s4d_zoh(a_diag, delta)
+    return abar, s[:, None] * np.asarray(B, dtype=np.complex128)
 
 
 def s4d_step(w: S4dWeights, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .errors import (
     DimensionError,
     FormatError,
     InputError,
-    StabilityError,
 )
 from .numerics import softsign
 
@@ -66,16 +66,11 @@ FLOPS_CONVENTION = "mac1-act6"
 
 @dataclass
 class ModelConfig:
-    """Architecture choice plus conditioning size and initialization ranges."""
+    """Architecture choice plus conditioning size and sample rate."""
 
     architecture: str
     cond_dim: int = 0
     sample_rate: int = 48000
-    lru_r_min: float = 0.5
-    lru_r_max: float = 0.99
-    lru_max_phase: float = float(np.pi / 10.0)
-    s4d_delta_min: float = 1e-3
-    s4d_delta_max: float = 1e-1
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -246,13 +241,13 @@ class Model:
             lstm = cells.init_lstm(rng)
             p["lstm.W"], p["lstm.U"], p["lstm.b"] = lstm.W, lstm.U, lstm.b
         elif arch == "lru":
-            lru = cells.init_lru(rng, config.lru_r_min, config.lru_r_max, config.lru_max_phase)
+            lru = cells.init_lru(rng)
             p["lru.nu"], p["lru.theta"] = lru.nu, lru.theta
             p["lru.U_re"], p["lru.U_im"] = lru.U_re, lru.U_im
             p["lru.b_re"], p["lru.b_im"] = lru.b_re, lru.b_im
             p["lru.W_re"], p["lru.W_im"], p["lru.b_o"] = lru.W_re, lru.W_im, lru.b_o
         elif arch == "s4d":
-            s4d = cells.init_s4d(rng, config.s4d_delta_min, config.s4d_delta_max)
+            s4d = cells.init_s4d(rng)
             p["s4d.log_neg_a_re"], p["s4d.a_im"] = s4d.log_neg_a_re, s4d.a_im
             p["s4d.log_delta"] = s4d.log_delta
             p["s4d.B_re"], p["s4d.B_im"] = s4d.B_re, s4d.B_im
@@ -323,16 +318,10 @@ class Model:
         return ConditioningBlock(None, None, self.params["glu.W"], self.params["glu.b"])
 
     def check_stability(self) -> None:
-        """Verify |multiplier| < 1 for the linear recurrences (LRU/S4D)."""
-        arch = self.config.architecture
-        if arch == "lru":
-            self.lru_weights().validate()
-        elif arch == "s4d":
-            # s4d_discretize rejects delta <= 0 and Re(a) >= 0, which is exactly
-            # |abar| < 1; |abar| itself rounds to 1 for tiny steps that are stable.
-            abar, _ = self.s4d_weights().discretized()
-            if not np.all(np.isfinite(abar)):
-                raise StabilityError("S4D discretized multipliers must be finite")
+        """Verify |multiplier| < 1 for the diagonal-LTI layers (LRU/S4D)."""
+        lti = DIAG_LTI.get(self.config.architecture)
+        if lti is not None:
+            lti.weights(self).validate()
 
     # -- state ----------------------------------------------------------------
 
@@ -454,6 +443,9 @@ class Model:
         if state["h"].shape[0] != B:
             raise DimensionError(f"state batch {state['h'].shape[0]} != input batch {B}")
         pfull = self._check_p(p, B, L)
+        if L == 0:
+            y = np.empty((B, 0))
+            return (y[0] if squeeze else y), self.copy_state(state)
 
         ys = []
         cur = state
@@ -492,11 +484,8 @@ class Model:
         if arch in ("lstm", "ed"):
             o_rec, hc = self._scan_lstm_family(arch, state, u_seq, win, cache)
             new_state["h"], new_state["c"] = hc
-        elif arch == "lru":
-            o_rec, h_last = self._scan_lru(state, u_seq, cache)
-            new_state["h"] = h_last
-        elif arch == "s4d":
-            o_rec, h_last = self._scan_s4d(state, u_seq, cache)
+        elif arch in DIAG_LTI:
+            o_rec, h_last = self._scan_diag_lti(DIAG_LTI[arch], state, u_seq, cache)
             new_state["h"] = h_last
         else:
             o_rec, h_last = self._scan_s6(state, u_seq, cache)
@@ -549,27 +538,25 @@ class Model:
     # The linear-recurrence scans keep (B, L, n) shapes but allocate their
     # per-step arrays lane-major ((B, n, L) memory, seen through a transposed
     # view), so that scans.diag_scan solves in place and elementwise products
-    # of those arrays stay lane-major too.
+    # of those arrays stay lane-major too.  LRU and S4D share one diagonal-LTI
+    # layer (see DiagLti); only S6, whose coefficients vary per step, has its own.
 
-    def _scan_lru(self, state, u_seq, cache):
-        w = self.lru_weights()
-        pre = (w.U_re + 1j * w.U_im) @ u_seq.transpose(0, 2, 1)
-        pre *= w.gamma()[:, None]
-        pre += (w.b_re + 1j * w.b_im)[:, None]
-        H = scans.diag_scan(state["h"], w.lam(), pre.transpose(0, 2, 1))
-        o_rec = np.real(H @ (w.W_re + 1j * w.W_im).T) + w.b_o
+    def _scan_diag_lti(self, lti, state, u_seq, cache):
+        prm = self.params
+        lam, s = lti.weights(self).coeffs()
+        M = prm[lti.M + "_re"] + 1j * prm[lti.M + "_im"]
+        Bbar = s[:, None] * M
+        pre = Bbar @ u_seq.transpose(0, 2, 1)
+        if lti.b:
+            pre += (prm[lti.b + "_re"] + 1j * prm[lti.b + "_im"])[:, None]
+        H = scans.diag_scan(state["h"], lam, pre.transpose(0, 2, 1))
+        o_rec = np.real(H @ (prm[lti.C + "_re"] + 1j * prm[lti.C + "_im"]).T)
+        if lti.D:
+            o_rec = o_rec + prm[lti.D] * u_seq
+        if lti.b_o:
+            o_rec = o_rec + prm[lti.b_o]
         if cache is not None:
-            cache.update(H=H, h0=state["h"].copy())
-        return o_rec, H[:, -1].copy()
-
-    def _scan_s4d(self, state, u_seq, cache):
-        w = self.s4d_weights()
-        abar, bbar = w.discretized()
-        pre = bbar @ u_seq.transpose(0, 2, 1)
-        H = scans.diag_scan(state["h"], abar, pre.transpose(0, 2, 1))
-        o_rec = np.real(H @ (w.C_re + 1j * w.C_im).T) + w.D * u_seq
-        if cache is not None:
-            cache.update(H=H, h0=state["h"].copy())
+            cache.update(H=H, h0=state["h"].copy(), lam=lam, s=s, M=M, Bbar=Bbar)
         return o_rec, H[:, -1].copy()
 
     def _scan_s6(self, state, u_seq, cache):
@@ -620,6 +607,31 @@ class Model:
         )
 
 
+@dataclass(frozen=True)
+class DiagLti:
+    """How LRU and S4D name their weights as one diagonal-LTI layer.
+
+        h_t = lam * h_{t-1} + (s * M) u_t + b,   o_t = Re(C h_t) + D * u_t + b_o
+
+    ``weights`` returns the architecture's cells view, whose ``coeffs()``
+    maps its per-channel parameters to (lam, s).  M, C and b are complex,
+    stored as ``<name>_re``/``<name>_im``; a term the layer lacks is None.
+    """
+
+    weights: Callable[[Model], LruWeights | S4dWeights]
+    M: str
+    C: str
+    b: str | None = None
+    b_o: str | None = None
+    D: str | None = None
+
+
+DIAG_LTI = {
+    "lru": DiagLti(Model.lru_weights, M="lru.U", C="lru.W", b="lru.b", b_o="lru.b_o"),
+    "s4d": DiagLti(Model.s4d_weights, M="s4d.B", C="s4d.C", D="s4d.D"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -628,7 +640,6 @@ CHECKPOINT_MAGIC = "statefx-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _CONFIG_INT_FIELDS = ("cond_dim", "sample_rate")
-_CONFIG_FLOAT_FIELDS = ("lru_r_min", "lru_r_max", "lru_max_phase", "s4d_delta_min", "s4d_delta_max")
 
 
 @dataclass
@@ -662,8 +673,6 @@ class Checkpoint:
         buf.write(f"architecture={self.config.architecture}\n")
         for name in _CONFIG_INT_FIELDS:
             buf.write(f"{name}={getattr(self.config, name)}\n")
-        for name in _CONFIG_FLOAT_FIELDS:
-            buf.write(f"{name}={getattr(self.config, name)!r}\n")
         buf.write(f"best_epoch={self.best_epoch}\n")
         arrays: list[tuple[str, np.ndarray]] = []
         for k, v in self.params.items():
@@ -714,8 +723,6 @@ class Checkpoint:
             cfg_kwargs = {"architecture": kv["architecture"]}
             for name in _CONFIG_INT_FIELDS:
                 cfg_kwargs[name] = int(kv[name])
-            for name in _CONFIG_FLOAT_FIELDS:
-                cfg_kwargs[name] = float(kv[name])
             config = ModelConfig(**cfg_kwargs)
             best_epoch = int(kv.get("best_epoch", -1))
         except KeyError as e:
@@ -748,6 +755,9 @@ class Checkpoint:
         wrong = sorted(k for k, v in expected.items() if params[k].shape != v.shape)
         if wrong:
             raise FormatError(f"{path}: wrong array shape for {wrong}")
+        bad = sorted(k for k, v in params.items() if not np.all(np.isfinite(v)))
+        if bad:
+            raise FormatError(f"{path}: non-finite values in {bad}")
         return cls(config, params, history, best_epoch)
 
 

@@ -3,7 +3,8 @@
 Only the stateful parts live here; everything batched across time
 (projections, readouts, conditioning) stays in vectorized numpy in the
 model and training modules.  The LSTM family steps one sample at a time.
-The diagonal linear recurrences (LRU, S4D, S6) need no step loop: over all
+The diagonal linear recurrences (the LRU/S4D diagonal-LTI layer with a
+constant multiplier, S6 with a per-step one) need no step loop: over all
 (batch, state) lanes, h_t = a_t*h_{t-1} + p_t is one unit lower-bidiagonal
 system (I - S(a)) h = p, solved by a single LAPACK banded triangular solve,
 and its reverse-time adjoint is the same band solved transposed.
@@ -15,56 +16,15 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .errors import NumericError
+from .numerics import sigmoid
 
 # No compiled backend exists; the benchmark's environment fingerprint reads this.
 HAVE_NUMBA = False
 
 
-def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# LSTM / ED forward
+# LSTM / ED
 # ---------------------------------------------------------------------------
-
-def _lstm_fwd_numpy(W, zin, h0, c0, merge, ch, cc,
-                    H, F, I, O, G, CP, TC, HP, HPR, CPR, want_cache):
-    B, L, four_n = zin.shape
-    n = four_n // 4
-    Wt = W.T
-    h, c = h0.copy(), c0.copy()
-    for t in range(L):
-        if merge:
-            if want_cache:
-                HPR[:, t] = h
-                CPR[:, t] = c
-            h = _sigmoid_np(h) * ch[:, t]
-            c = _sigmoid_np(c) * cc[:, t]
-        if want_cache:
-            HP[:, t] = h
-            CP[:, t] = c
-        z = h @ Wt + zin[:, t]
-        gates = _sigmoid_np(z[:, :3 * n])
-        f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
-        g = np.tanh(z[:, 3 * n:])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        H[:, t] = h
-        if want_cache:
-            F[:, t] = f
-            I[:, t] = i
-            O[:, t] = o
-            G[:, t] = g
-            TC[:, t] = tc
-    return h, c
-
 
 def lstm_forward(W, zin, h0, c0, ch=None, cc=None, want_cache=False):
     """Run the gated scan; with ch/cc present, the ED state merge runs first.
@@ -77,29 +37,52 @@ def lstm_forward(W, zin, h0, c0, ch=None, cc=None, want_cache=False):
     merge = ch is not None
     shape = (B, L, n)
     H = np.empty(shape)
-    F = I = O = G = CP = TC = HP = HPR = CPR = None
-    if want_cache:
-        F, I, O, G, CP, TC, HP = (np.empty(shape) for _ in range(7))
-        if merge:
-            HPR, CPR = np.empty(shape), np.empty(shape)
-    h, c = _lstm_fwd_numpy(W, zin, h0, c0, merge, ch, cc,
-                           H, F, I, O, G, CP, TC, HP, HPR, CPR, want_cache)
     cache = None
     if want_cache:
+        F, I, O, G, CP, TC, HP = (np.empty(shape) for _ in range(7))
         cache = {"f": F, "i": I, "o": O, "g": G, "c_prev": CP, "tanh_c": TC, "h_prev": HP}
         if merge:
-            cache["h_prev_raw"] = HPR
-            cache["c_prev_raw"] = CPR
+            HPR, CPR = np.empty(shape), np.empty(shape)
+            cache.update(h_prev_raw=HPR, c_prev_raw=CPR)
+    Wt = W.T
+    h, c = h0.copy(), c0.copy()
+    for t in range(L):
+        if merge:
+            if want_cache:
+                HPR[:, t] = h
+                CPR[:, t] = c
+            h = sigmoid(h) * ch[:, t]
+            c = sigmoid(c) * cc[:, t]
+        if want_cache:
+            HP[:, t] = h
+            CP[:, t] = c
+        z = h @ Wt + zin[:, t]
+        gates = sigmoid(z[:, :3 * n])
+        f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+        g = np.tanh(z[:, 3 * n:])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        H[:, t] = h
+        if want_cache:
+            F[:, t] = f
+            I[:, t] = i
+            O[:, t] = o
+            G[:, t] = g
+            TC[:, t] = tc
     return H, h, c, cache
 
 
-# ---------------------------------------------------------------------------
-# LSTM / ED backward
-# ---------------------------------------------------------------------------
-
-def _lstm_bwd_numpy(W, d_orec, F, I, O, G, CP, TC, merge, ch, cc, HPR, CPR,
-                    d_z, d_ch, d_cc):
+def lstm_backward(W, d_orec, cache, ch=None, cc=None):
+    """Reverse the gated scan; returns (d_z, d_ch, d_cc) with the encoder
+    candidate gradients present only for the ED merge."""
     B, L, n = d_orec.shape
+    merge = ch is not None
+    d_z = np.empty((B, L, 4 * n))
+    d_ch = np.empty((B, L, n)) if merge else None
+    d_cc = np.empty((B, L, n)) if merge else None
+    F, I, O, G = cache["f"], cache["i"], cache["o"], cache["g"]
+    CP, TC = cache["c_prev"], cache["tanh_c"]
     d_h = np.zeros((B, n))
     d_c = np.zeros((B, n))
     for t in range(L - 1, -1, -1):
@@ -116,25 +99,12 @@ def _lstm_bwd_numpy(W, d_orec, F, I, O, G, CP, TC, merge, ch, cc, HPR, CPR,
         d_h = d_zt @ W
         d_c = d_ct * f
         if merge:
-            sh = _sigmoid_np(HPR[:, t])
-            sc = _sigmoid_np(CPR[:, t])
+            sh = sigmoid(cache["h_prev_raw"][:, t])
+            sc = sigmoid(cache["c_prev_raw"][:, t])
             d_ch[:, t] = d_h * sh
             d_cc[:, t] = d_c * sc
             d_h = d_h * ch[:, t] * sh * (1.0 - sh)
             d_c = d_c * cc[:, t] * sc * (1.0 - sc)
-
-
-def lstm_backward(W, d_orec, cache, ch=None, cc=None):
-    """Reverse the gated scan; returns (d_z, d_ch, d_cc) with the encoder
-    candidate gradients present only for the ED merge."""
-    B, L, n = d_orec.shape
-    merge = ch is not None
-    d_z = np.empty((B, L, 4 * n))
-    d_ch = np.empty((B, L, n)) if merge else None
-    d_cc = np.empty((B, L, n)) if merge else None
-    _lstm_bwd_numpy(W, d_orec,
-                    cache["f"], cache["i"], cache["o"], cache["g"], cache["c_prev"], cache["tanh_c"],
-                    merge, ch, cc, cache.get("h_prev_raw"), cache.get("c_prev_raw"), d_z, d_ch, d_cc)
     return d_z, d_ch, d_cc
 
 

@@ -5,8 +5,9 @@ carries across consecutive segments of the same stream, but gradients do
 not: ``backward_segment`` differentiates the segment MSE with respect to
 every weight while treating the incoming state as a constant, and hands
 back a detached outgoing state.  The reverse-mode code here is written by
-hand per architecture; ``finite_difference_audit`` checks it against
-central differences.
+hand per recurrent layer (LSTM/ED, the LRU/S4D diagonal-LTI layer with one
+parameter-map VJP per architecture, S6); ``finite_difference_audit`` checks
+it against central differences.
 
 Complex-valued chains use the packed convention g_z = dL/dRe(z) +
 i*dL/dIm(z), under which a product w = a*b propagates as g_a = conj(b)*g_w
@@ -22,7 +23,7 @@ import numpy as np
 from . import scans
 from .cells import ED_KERNEL, ED_SPLIT, LSTM_UNITS, SSM_IN
 from .errors import InputError, NumericError, StabilityError
-from .model import Checkpoint, Model
+from .model import DIAG_LTI, Checkpoint, Model
 from .numerics import sigmoid
 
 GradientSet = dict  # name -> array matching the weight's shape
@@ -196,10 +197,8 @@ def _backward_from_cache(model: Model, cache, d_y) -> GradientSet:
     arch = cfg.architecture
     if arch in ("lstm", "ed"):
         d_useq = _backward_lstm_family(model, cache, d_orec, g)
-    elif arch == "lru":
-        d_useq = _backward_lru(model, cache, d_orec, g)
-    elif arch == "s4d":
-        d_useq = _backward_s4d(model, cache, d_orec, g)
+    elif arch in DIAG_LTI:
+        d_useq = _backward_diag_lti(model, cache, d_orec, g)
     else:
         d_useq = _backward_s6(model, cache, d_orec, g)
 
@@ -236,76 +235,63 @@ def _backward_lstm_family(model, cache, d_orec, g) -> np.ndarray:
     return d_z @ prm["lstm.U"]
 
 
-def _backward_lru(model, cache, d_orec, g) -> np.ndarray:
-    w = model.lru_weights()
+def _backward_diag_lti(model, cache, d_orec, g) -> np.ndarray:
+    arch = model.config.architecture
+    lti, prm = DIAG_LTI[arch], model.params
     H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
-    Wc = w.W_re + 1j * w.W_im
-    Uc = w.U_re + 1j * w.U_im
-    lam, gamma = w.lam(), w.gamma()
+    lam, s, M, Bbar = cache["lam"], cache["s"], cache["M"], cache["Bbar"]
+    C = prm[lti.C + "_re"] + 1j * prm[lti.C + "_im"]
 
-    gW = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
-    g["lru.W_re"], g["lru.W_im"] = gW.real.copy(), -gW.imag
-    g["lru.b_o"] = d_orec.sum(axis=(0, 1))
+    # o = Re(C h) + D * u + b_o
+    gC = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
+    g[lti.C + "_re"], g[lti.C + "_im"] = gC.real.copy(), -gC.imag
+    if lti.b_o:
+        g[lti.b_o] = d_orec.sum(axis=(0, 1))
+    if lti.D:
+        g[lti.D] = np.einsum("blu,blu->u", d_orec, u_seq)
     # lane-major like H, so the adjoint solve runs in place
-    gh_read = (np.conj(Wc).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
+    gh_read = (np.conj(C).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
 
     g_pre, g_lam = scans.diag_scan_backward(gh_read, H, h0, lam)
 
-    # pre = gamma * (Uc @ u) + b
-    gb = g_pre.sum(axis=(0, 1))
-    g["lru.b_re"], g["lru.b_im"] = gb.real.copy(), gb.imag.copy()
-    g_Uu = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
-    gUc = gamma[:, None] * g_Uu
-    g["lru.U_re"], g["lru.U_im"] = gUc.real.copy(), gUc.imag.copy()
-    g_gamma = (np.conj(Uc) * g_Uu).sum(axis=1).real
-    d_useq = (g_pre @ (gamma[:, None] * np.conj(Uc))).real
+    # pre = (s * M) @ u + b
+    if lti.b:
+        gb = g_pre.sum(axis=(0, 1))
+        g[lti.b + "_re"], g[lti.b + "_im"] = gb.real.copy(), gb.imag.copy()
+    g_Bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
+    gM = np.conj(s)[:, None] * g_Bbar
+    g[lti.M + "_re"], g[lti.M + "_im"] = gM.real.copy(), gM.imag.copy()
+    g_s = (np.conj(M) * g_Bbar).sum(axis=1)
+    d_useq = (g_pre @ np.conj(Bbar)).real
+    if lti.D:
+        d_useq = d_useq + d_orec * prm[lti.D]
+    # Keep numpy loops after the last complex matmul: they clear the AVX
+    # upper state that slows the SSE-compiled einsums (see scans._solve).
+    _COEFFS_VJP[arch](lti.weights(model), lam, s, g_lam, g_s, g)
+    return d_useq
 
+
+def _lru_coeffs_vjp(w, lam, gamma, g_lam, g_gamma, g) -> None:
     # lambda = exp(-exp(nu) + i theta); gamma = sqrt(1 - exp(-2 exp(nu)))
     gw = np.conj(lam) * g_lam
     e_nu = np.exp(w.nu)
     g["lru.theta"] = gw.imag.copy()
-    g["lru.nu"] = -gw.real * e_nu + g_gamma * (e_nu * np.exp(-2.0 * e_nu) / gamma)
-    return d_useq
+    g["lru.nu"] = -gw.real * e_nu + g_gamma.real * (e_nu * np.exp(-2.0 * e_nu) / gamma)
 
 
-def _backward_s4d(model, cache, d_orec, g) -> np.ndarray:
-    w = model.s4d_weights()
-    H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
-    Cc = w.C_re + 1j * w.C_im
-    a = w.a_diag()
-    delta = w.delta()
-    abar, bbar = w.discretized()
-
-    gCc = np.conj((d_orec.transpose(0, 2, 1) @ H).sum(axis=0))
-    g["s4d.C_re"], g["s4d.C_im"] = gCc.real.copy(), gCc.imag.copy()
-    g["s4d.D"] = np.einsum("blu,blu->u", d_orec, u_seq)
-    d_useq = d_orec * w.D
-    # lane-major like H, so the adjoint solve runs in place
-    gh_read = (np.conj(Cc).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-    g_pre, g_abar = scans.diag_scan_backward(gh_read, H, h0, abar)
-
-    g_bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
-    d_useq = d_useq + (g_pre @ np.conj(bbar)).real
-
-    # bbar = s * B with s = (abar - 1)/a
-    s = (abar - 1.0) / a
-    Bc = w.B_re + 1j * w.B_im
-    gB = g_bbar * np.conj(s)[:, None]
-    g["s4d.B_re"], g["s4d.B_im"] = gB.real.copy(), gB.imag.copy()
-    gs = (g_bbar * np.conj(Bc)).sum(axis=1)
-    g_abar = g_abar + gs * np.conj(1.0 / a)
-    gA = gs * np.conj(-(abar - 1.0) / a ** 2)
-
-    # abar = exp(delta * a)
+def _s4d_coeffs_vjp(w, abar, s, g_abar, g_s, g) -> None:
+    # abar = exp(delta * a); s = (abar - 1) / a
+    a, delta = w.a_diag(), w.delta()
+    g_abar = g_abar + g_s * np.conj(1.0 / a)
+    gA = g_s * np.conj(-s / a)
     gz = np.conj(abar) * g_abar
     gA = gA + gz * delta
-    g_delta = (np.conj(a) * gz).real
-
     g["s4d.log_neg_a_re"] = -gA.real * np.exp(w.log_neg_a_re)
     g["s4d.a_im"] = gA.imag.copy()
-    g["s4d.log_delta"] = g_delta * delta
-    return d_useq
+    g["s4d.log_delta"] = (np.conj(a) * gz).real * delta
+
+
+_COEFFS_VJP = {"lru": _lru_coeffs_vjp, "s4d": _s4d_coeffs_vjp}
 
 
 def _backward_s6(model, cache, d_orec, g) -> np.ndarray:

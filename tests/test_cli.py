@@ -159,6 +159,36 @@ def test_eval_checkpoint_wrong_array_shape_format_error(dataset_dir, tmp_path):
     assert code == cli.EXIT_FORMAT
 
 
+def test_nonfinite_checkpoint_weight_format_error(dataset_dir, tmp_path, capsys):
+    m = Model.init(ModelConfig("lru", cond_dim=1), seed=0)
+    m.params["proj.W"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.sfx"
+    save_checkpoint(m, ckpt)
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
+    out = tmp_path / "o.wav"
+    for argv in (["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                  "--composition", "1", "--out", str(tmp_path / "e")],
+                 ["render", "--checkpoint", str(ckpt), "--input", str(wav_in),
+                  "--params", "0.5", "--out", str(out)]):
+        assert run(argv) == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_render_empty_wav_writes_empty_output(tmp_path, capsys):
+    ckpt = tmp_path / "m.sfx"
+    save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=2), ckpt)
+    wav_in = tmp_path / "empty.wav"
+    save_wav(wav_in, np.zeros(0))
+    out = tmp_path / "o.wav"
+    assert run(["render", "--checkpoint", str(ckpt), "--input", str(wav_in),
+                "--params", "0.5", "--out", str(out)]) == 0
+    assert load_wav(out).shape == (0,)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_render_scheduled_params_match_constant(dataset_dir, tmp_path):
     ckpt_path = tmp_path / "m.sfx"
     save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=1), seed=2), ckpt_path)

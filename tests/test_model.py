@@ -311,6 +311,60 @@ def test_s4d_tiny_step_passes_stability_check():
         m.check_stability()
 
 
+def test_lru_tiny_decay_passes_stability_check():
+    # exp(nu) = exp(-40) rounds |lambda| to 1, yet exp(nu) > 0 keeps it stable
+    m = make_model("lru", cond_dim=0)
+    m.params["lru.nu"][:] = -40.0
+    m.check_stability()
+    y, _ = m.forward_segment(m.init_state(1), RNG.uniform(-1, 1, 200))
+    assert np.all(np.isfinite(y))
+    m.params["lru.nu"][0] = -np.inf
+    with pytest.raises(StabilityError):
+        m.check_stability()
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_forward_segment_empty_input_keeps_state(arch):
+    m = make_model(arch, cond_dim=1, seed=2)
+    p = np.array([0.5])
+    _, state = m.forward_segment(m.init_state(2), RNG.uniform(-1, 1, (2, 100)), p)
+    y, new_state = m.forward_segment(state, np.zeros((2, 0)), p)
+    assert y.shape == (2, 0)
+    assert new_state.keys() == state.keys()
+    assert all(np.array_equal(new_state[k], state[k]) for k in state)
+    y1, _ = m.forward_segment(m.init_state(1), np.zeros(0), p)
+    assert y1.shape == (0,)
+
+
+def test_checkpoint_nonfinite_weight_rejected(tmp_path):
+    m = make_model("lru", cond_dim=1)
+    history = {"val_esr": np.array([np.inf, 0.5])}  # an inf history value is legitimate
+    path = tmp_path / "ck.sfx"
+    save_checkpoint(m, path, history)
+    assert Checkpoint.load(path).history["val_esr"][0] == np.inf
+    for bad in (np.nan, np.inf):
+        m.params["proj.W"][2, 5] = bad
+        save_checkpoint(m, path, history)
+        with pytest.raises(FormatError, match="proj.W"):
+            Checkpoint.load(path)
+
+
+def test_checkpoint_with_retired_config_keys_loads(tmp_path):
+    # files from before the initialization ranges left ModelConfig carry five
+    # more header lines; the loader ignores keys it does not know
+    m = make_model("s4d", cond_dim=1, seed=4)
+    path = tmp_path / "ck.sfx"
+    save_checkpoint(m, path, best_epoch=3)
+    blob = path.read_bytes()
+    retired = (b"lru_r_min=0.5\nlru_r_max=0.99\nlru_max_phase=0.3141592653589793\n"
+               b"s4d_delta_min=0.001\ns4d_delta_max=0.1\n")
+    cut = blob.index(b"best_epoch=")
+    path.write_bytes(blob[:cut] + retired + blob[cut:])
+    ck = Checkpoint.load(path)
+    assert ck.config == m.config and ck.best_epoch == 3
+    assert all(np.array_equal(ck.params[k], v) for k, v in m.params.items())
+
+
 def test_dataset_compat_check():
     m = make_model("lstm", cond_dim=2)
     check_dataset_compat(m, 2, 48000)

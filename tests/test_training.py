@@ -87,6 +87,38 @@ def test_gradients_match_finite_differences(arch):
     assert err < 1e-4, f"{arch}: max fd error {err:.3e}"
 
 
+@pytest.mark.parametrize("arch", ["lru", "s4d"])
+def test_gradients_through_carried_state_match_finite_differences(arch):
+    # two lanes entering with the state a previous segment left behind, so the
+    # h0 term of the multiplier gradient and the sums over lanes are exercised
+    rng = np.random.default_rng(21)
+    m = Model.init(ModelConfig(arch, cond_dim=2), seed=17)
+    p = rng.uniform(0, 1, (2, 2))
+    _, state = m.forward_segment(m.init_state(2), rng.uniform(-0.9, 0.9, (2, 300)), p)
+    assert np.all(np.abs(state["h"]) > 0)
+    x = rng.uniform(-0.9, 0.9, (2, 64))
+    t = rng.uniform(-0.9, 0.9, (2, 64))
+    _, grads, _ = backward_segment(m, state, x, t, p)
+
+    def loss_now():
+        y, _ = m.forward_segment(state, x, p)
+        return loss_mse(t, y)
+
+    eps = 1e-6
+    for name, arr in m.params.items():
+        flat = arr.reshape(-1)
+        g = grads[name].reshape(-1)
+        for j in rng.choice(flat.size, size=min(flat.size, 12), replace=False):
+            keep = flat[j]
+            flat[j] = keep + eps
+            up = loss_now()
+            flat[j] = keep - eps
+            down = loss_now()
+            flat[j] = keep
+            fd = (up - down) / (2.0 * eps)
+            assert abs(fd - g[j]) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-6), (name, j, fd, g[j])
+
+
 def test_fd_error_shrinks_with_eps():
     # halving eps in the truncation-dominated regime shrinks the error
     # (below ~1e-5 the roundoff floor takes over instead)
