@@ -67,7 +67,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import Spectrogram, activation, matvec, sigmoid, softsign, stft_mag
+from .numerics import Spectrogram, sigmoid, softsign, stft_mag
 from .stats import TestResult, compare_models, friedman_test, wilcoxon_signed_rank
 from .training import (
     AdamState,

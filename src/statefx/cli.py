@@ -57,13 +57,24 @@ def _write_manifest(out_dir: Path, command: str, args_dict: dict, seed, started:
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _number(text: str, what: str) -> float:
+    """A finite float from one command-line value."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise InputError(f"bad {what} value {text!r}; expected a number") from None
+    if not np.isfinite(v):
+        raise InputError(f"bad {what} value {text!r}; expected a finite number")
+    return v
+
+
 def _parse_assignments(items, what: str) -> dict:
     out = {}
     for item in items or []:
         name, _, value = item.partition("=")
         if not name or not value:
             raise InputError(f"bad {what} {item!r}; expected name=value")
-        out[name] = float(value)
+        out[name] = _number(value, what)
     return out
 
 
@@ -77,7 +88,11 @@ def cmd_dataset(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         raise InputError(f"{out} exists and is not empty; pass --force to overwrite")
     effect = data.get_effect(args.effect)
-    counts = {k: int(v) for k, v in _parse_assignments(args.vary, "--vary").items()}
+    counts = _parse_assignments(args.vary, "--vary")
+    bad = [f"{k}={v:g}" for k, v in counts.items() if v < 1 or v != int(v)]
+    if bad:
+        raise InputError(f"--vary counts must be whole numbers >= 1, got {bad}")
+    counts = {k: int(v) for k, v in counts.items()}
     fixed = _parse_assignments(args.fix, "--fix")
     grid = data.grid_from_ranges(effect, counts, fixed)
     cond_labels = sorted(counts) if counts else []
@@ -168,7 +183,13 @@ def _load_schedule(path, n_samples: int, cond_dim: int) -> np.ndarray:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#") or row[0].strip() == "sample":
                 continue
-            rows.append([float(v) for v in row])
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise FormatError(f"{path}: non-numeric schedule row {row}") from None
+            if not np.all(np.isfinite(values)):
+                raise FormatError(f"{path}: non-finite schedule row {row}")
+            rows.append(values)
     if not rows:
         raise FormatError(f"{path}: empty conditioning schedule")
     sched = np.full((n_samples, cond_dim), np.nan)
@@ -196,7 +217,7 @@ def cmd_render(args) -> int:
         if args.params_csv:
             p = _load_schedule(args.params_csv, len(x), P)
         elif args.params:
-            p = np.asarray([float(v) for v in args.params.split(",")], dtype=np.float64)
+            p = np.asarray([_number(v, "--params") for v in args.params.split(",")])
             if p.shape != (P,):
                 raise InputError(f"--params needs {P} comma-separated values")
         else:
@@ -278,13 +299,18 @@ def cmd_compare(args) -> int:
     for path in paths:
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
-        mean_rows = [r for r in rows if r["split"] == "mean"]
+        try:
+            mean_rows = [(r["dataset"], r["model"], [float(r[m]) for m in METRIC_COLUMNS])
+                         for r in rows if r["split"] == "mean"]
+        except KeyError as e:
+            raise FormatError(f"{path}: missing column {e}; not an eval CSV?") from None
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"{path}: non-numeric metric value ({e})") from None
         if not mean_rows:
             raise FormatError(f"{path}: no mean row; not an eval CSV?")
-        for r in mean_rows:
-            for metric in METRIC_COLUMNS:
-                cells.setdefault((r["dataset"], metric), {}).setdefault(
-                    r["model"], []).append(float(r[metric]))
+        for dataset, model, values in mean_rows:
+            for metric, v in zip(METRIC_COLUMNS, values):
+                cells.setdefault((dataset, metric), {}).setdefault(model, []).append(v)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -542,17 +542,32 @@ def save_dataset(out_dir, recordings: list) -> None:
     (out / DATASET_META).write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
+def _read_json(path: Path, keys: tuple) -> dict:
+    """A JSON object holding at least ``keys``, or FormatError naming the file."""
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as e:  # undecodable bytes or not JSON
+        raise FormatError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise FormatError(f"{path}: missing {missing}")
+    return obj
+
+
 def load_dataset(dir_path):
     """Read back a dataset directory; returns (recordings, meta)."""
     d = Path(dir_path)
     meta_path = d / DATASET_META
     if not meta_path.exists():
         raise FormatError(f"{dir_path}: missing {DATASET_META}")
-    meta = json.loads(meta_path.read_text())
+    meta = _read_json(meta_path, ("effect", "cond_dim", "sample_rate", "combinations"))
     effect = get_effect(meta["effect"])
     recs = []
     for i in range(meta["combinations"]):
-        sidecar = json.loads((d / f"params_{i:03d}.json").read_text())
+        sidecar = _read_json(d / f"params_{i:03d}.json",
+                             ("params_normalized", "cond_labels", "params_physical", "seed"))
         x = load_wav(d / f"input_{i:03d}.wav", meta["sample_rate"])
         y = load_wav(d / f"output_{i:03d}.wav", meta["sample_rate"])
         recs.append(Recording(

@@ -2,6 +2,12 @@
 conditioning block, one-unit output layer, plus parameter/FLOPs accounting
 and the checkpoint format.
 
+Every architecture runs the same pipeline; what differs between them is
+stated once.  ``ARCH`` gives each one's weight groups, layer widths, state
+arrays and batched scan, and ``DIAG_LTI`` names the LRU and S4D weights as
+one diagonal-LTI layer.  Parameter names are ``"<prefix>.<field>"`` with
+the fields of the ``statefx.cells`` weight dataclasses.
+
 Two inference routes exist on purpose.  ``forward_sample`` composes the
 single-stream step functions from ``statefx.cells`` one sample at a time.
 ``forward_segment`` is the batched fast path used for training, rendering
@@ -12,7 +18,8 @@ equivalence tests pin that down.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -25,13 +32,7 @@ from .cells import (
     SSM_IN,
     SSM_STATE,
     WINDOW_LEN,
-    EdEncoder,
-    LruWeights,
     LstmState,
-    LstmWeights,
-    Projection,
-    S4dWeights,
-    S6Weights,
     SsmState,
     softplus,
 )
@@ -42,8 +43,6 @@ from .errors import (
     InputError,
 )
 from .numerics import softsign
-
-ARCHITECTURES = ("lstm", "ed", "lru", "s4d", "s6")
 
 POST_UNITS = 4          # every variant reduces to 4 before conditioning
 HIST_LEN = WINDOW_LEN - 1
@@ -78,27 +77,11 @@ class ModelConfig:
         if self.cond_dim < 0:
             raise InputError("cond_dim must be >= 0")
 
-    @property
-    def recurrent_units(self) -> int:
-        return LSTM_UNITS if self.architecture in ("lstm", "ed") else SSM_STATE
 
-    @property
-    def proj_units(self) -> int:
-        return LSTM_IN if self.architecture in ("lstm", "ed") else SSM_IN
-
-    @property
-    def proj_window(self) -> int:
-        return ED_SPLIT if self.architecture == "ed" else WINDOW_LEN
-
-    @property
-    def readout_units(self) -> int:
-        return LSTM_UNITS if self.architecture in ("lstm", "ed") else SSM_IN
-
-    @property
-    def post_tanh(self) -> bool:
-        # The linear-recurrence variants get a tanh after the post-FC to make
-        # up for their activation-free recurrent layers; LSTM and ED stay linear.
-        return self.architecture in ("lru", "s4d", "s6")
+def windows(ext: np.ndarray) -> np.ndarray:
+    """Newest-first 64-sample windows over (B, 63 + L) history plus input:
+    a (B, L, 64) view whose [:, n, 0] is sample n."""
+    return np.lib.stride_tricks.sliding_window_view(ext, WINDOW_LEN, axis=1)[:, :, ::-1]
 
 
 @dataclass
@@ -109,6 +92,12 @@ class ConditioningBlock:
     film_b: np.ndarray | None  # (8,) or None
     glu_W: np.ndarray          # (8, 4)
     glu_b: np.ndarray          # (8,)
+
+
+def _check_unit_range(p: np.ndarray) -> None:
+    # written so that NaN fails too
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise InputError("conditioning parameters must lie in [0, 1]")
 
 
 def conditioning_apply(cb: ConditioningBlock, o: np.ndarray, p: np.ndarray | None) -> np.ndarray:
@@ -126,8 +115,7 @@ def conditioning_apply(cb: ConditioningBlock, o: np.ndarray, p: np.ndarray | Non
         p = np.asarray(p, dtype=np.float64)
         if p.shape != (cb.film_W.shape[1],):
             raise DimensionError(f"p must have shape ({cb.film_W.shape[1]},), got {p.shape}")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise InputError("conditioning parameters must lie in [0, 1]")
+        _check_unit_range(p)
         z = cb.film_W @ p + cb.film_b
         q = z[:POST_UNITS] * o + z[POST_UNITS:]
     else:
@@ -227,39 +215,17 @@ class Model:
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "Model":
         rng = np.random.default_rng(seed)
-        arch = config.architecture
+        spec = ARCH[config.architecture]
         p: dict[str, np.ndarray] = {}
 
-        proj = cells.init_projection(rng, config.proj_units, config.proj_window)
-        p["proj.W"], p["proj.b"] = proj.W, proj.b
+        def add(prefix, w):
+            p.update(zip(_VIEWS[prefix][1], (getattr(w, f.name) for f in fields(w))))
 
-        if arch in ("lstm", "ed"):
-            if arch == "ed":
-                enc = cells.init_ed_encoder(rng)
-                p["enc.kernel_h"], p["enc.bias_h"] = enc.kernel_h, enc.bias_h
-                p["enc.kernel_c"], p["enc.bias_c"] = enc.kernel_c, enc.bias_c
-            lstm = cells.init_lstm(rng)
-            p["lstm.W"], p["lstm.U"], p["lstm.b"] = lstm.W, lstm.U, lstm.b
-        elif arch == "lru":
-            lru = cells.init_lru(rng)
-            p["lru.nu"], p["lru.theta"] = lru.nu, lru.theta
-            p["lru.U_re"], p["lru.U_im"] = lru.U_re, lru.U_im
-            p["lru.b_re"], p["lru.b_im"] = lru.b_re, lru.b_im
-            p["lru.W_re"], p["lru.W_im"], p["lru.b_o"] = lru.W_re, lru.W_im, lru.b_o
-        elif arch == "s4d":
-            s4d = cells.init_s4d(rng)
-            p["s4d.log_neg_a_re"], p["s4d.a_im"] = s4d.log_neg_a_re, s4d.a_im
-            p["s4d.log_delta"] = s4d.log_delta
-            p["s4d.B_re"], p["s4d.B_im"] = s4d.B_re, s4d.B_im
-            p["s4d.C_re"], p["s4d.C_im"], p["s4d.D"] = s4d.C_re, s4d.C_im, s4d.D
-        else:
-            s6 = cells.init_s6(rng)
-            p["s6.log_neg_a"] = s6.log_neg_a
-            p["s6.W_delta"], p["s6.b_delta"] = s6.W_delta, s6.b_delta
-            p["s6.W_B"], p["s6.b_B"] = s6.W_B, s6.b_B
-            p["s6.W_C"], p["s6.b_C"], p["s6.D"] = s6.W_C, s6.b_C, s6.D
+        add("proj", cells.init_projection(rng, spec.proj_units, spec.proj_window))
+        for prefix, init in spec.groups:
+            add(prefix, init(rng))
 
-        r = config.readout_units
+        r = spec.readout_units
         bound = 1.0 / np.sqrt(r)
         p["post.W"] = rng.uniform(-bound, bound, (POST_UNITS, r))
         p["post.b"] = np.zeros(POST_UNITS)
@@ -286,30 +252,12 @@ class Model:
 
     # -- weight views --------------------------------------------------------
 
-    def projection(self) -> Projection:
-        return Projection(self.params["proj.W"], self.params["proj.b"])
-
-    def lstm_weights(self) -> LstmWeights:
-        return LstmWeights(self.params["lstm.W"], self.params["lstm.U"], self.params["lstm.b"])
-
-    def ed_encoder(self) -> EdEncoder:
-        return EdEncoder(self.params["enc.kernel_h"], self.params["enc.bias_h"],
-                         self.params["enc.kernel_c"], self.params["enc.bias_c"])
-
-    def lru_weights(self) -> LruWeights:
+    def weights(self, prefix: str):
+        """The cells dataclass over the weights named ``<prefix>.*``
+        ("proj" or one of the architecture's groups in ``ARCH``)."""
+        view, names = _VIEWS[prefix]
         p = self.params
-        return LruWeights(p["lru.nu"], p["lru.theta"], p["lru.U_re"], p["lru.U_im"],
-                          p["lru.b_re"], p["lru.b_im"], p["lru.W_re"], p["lru.W_im"], p["lru.b_o"])
-
-    def s4d_weights(self) -> S4dWeights:
-        p = self.params
-        return S4dWeights(p["s4d.log_neg_a_re"], p["s4d.a_im"], p["s4d.log_delta"],
-                          p["s4d.B_re"], p["s4d.B_im"], p["s4d.C_re"], p["s4d.C_im"], p["s4d.D"])
-
-    def s6_weights(self) -> S6Weights:
-        p = self.params
-        return S6Weights(p["s6.log_neg_a"], p["s6.W_delta"], p["s6.b_delta"],
-                         p["s6.W_B"], p["s6.b_B"], p["s6.W_C"], p["s6.b_C"], p["s6.D"])
+        return view(*[p[n] for n in names])
 
     def conditioning_block(self) -> ConditioningBlock:
         if self.config.cond_dim > 0:
@@ -319,23 +267,17 @@ class Model:
 
     def check_stability(self) -> None:
         """Verify |multiplier| < 1 for the diagonal-LTI layers (LRU/S4D)."""
-        lti = DIAG_LTI.get(self.config.architecture)
-        if lti is not None:
-            lti.weights(self).validate()
+        arch = self.config.architecture
+        if arch in DIAG_LTI:
+            self.weights(arch).validate()
 
     # -- state ----------------------------------------------------------------
 
     def init_state(self, batch: int = 1) -> dict[str, np.ndarray]:
         """Fresh per-stream state: recurrent contents plus 63 samples of history."""
-        arch = self.config.architecture
         state: dict[str, np.ndarray] = {"hist": np.zeros((batch, HIST_LEN))}
-        if arch in ("lstm", "ed"):
-            state["h"] = np.zeros((batch, LSTM_UNITS))
-            state["c"] = np.zeros((batch, LSTM_UNITS))
-        elif arch in ("lru", "s4d"):
-            state["h"] = np.zeros((batch, SSM_STATE), dtype=np.complex128)
-        else:
-            state["h"] = np.zeros((batch, SSM_STATE))
+        for name, width, dtype in ARCH[self.config.architecture].state:
+            state[name] = np.zeros((batch, width), dtype=dtype)
         return state
 
     @staticmethod
@@ -362,8 +304,7 @@ class Model:
             pass
         else:
             raise DimensionError(f"conditioning shape {p.shape} incompatible with P={P}, batch={batch}")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise InputError("conditioning parameters must lie in [0, 1]")
+        _check_unit_range(p)
         return p
 
     # -- single-sample route ----------------------------------------------------
@@ -390,32 +331,23 @@ class Model:
                 raise DimensionError(f"p must have shape ({P},)")
 
         arch = self.config.architecture
+        spec = ARCH[arch]
         new_state = self.copy_state(state)
-        if arch == "lstm":
-            u = cells.project_input(self.projection(), window)
-            st, o_rec = cells.lstm_step(self.lstm_weights(), LstmState(state["h"][0], state["c"][0]), u)
+        u = cells.project_input(self.weights("proj"), window[:spec.proj_window])
+        if arch in ("lstm", "ed"):
+            st = LstmState(state["h"][0], state["c"][0])
+            if arch == "ed":
+                cand_h, cand_c = cells.ed_encode(self.weights("enc"), window[ED_SPLIT:])
+                st = cells.ed_state_merge(st, cand_h, cand_c)
+            st, o_rec = cells.lstm_step(self.weights("lstm"), st, u)
             new_state["h"], new_state["c"] = st.h[None, :], st.c[None, :]
-        elif arch == "ed":
-            u = cells.project_input(self.projection(), window[:ED_SPLIT])
-            cand_h, cand_c = cells.ed_encode(self.ed_encoder(), window[ED_SPLIT:])
-            merged = cells.ed_state_merge(LstmState(state["h"][0], state["c"][0]), cand_h, cand_c)
-            st, o_rec = cells.lstm_step(self.lstm_weights(), merged, u)
-            new_state["h"], new_state["c"] = st.h[None, :], st.c[None, :]
-        elif arch == "lru":
-            u = cells.project_input(self.projection(), window)
-            st, o_rec = cells.lru_step(self.lru_weights(), cells.LruState(state["h"][0]), u)
-            new_state["h"] = st.h[None, :]
-        elif arch == "s4d":
-            u = cells.project_input(self.projection(), window)
-            st, o_rec = cells.s4d_step(self.s4d_weights(), SsmState(state["h"][0]), u)
-            new_state["h"] = st.h[None, :]
         else:
-            u = cells.project_input(self.projection(), window)
-            st, o_rec = cells.s6_step(self.s6_weights(), SsmState(state["h"][0]), u)
+            step, step_state = _SSM_STEPS[arch]
+            st, o_rec = step(self.weights(arch), step_state(state["h"][0]), u)
             new_state["h"] = st.h[None, :]
 
         pre = self.params["post.W"] @ o_rec + self.params["post.b"]
-        o_hat = np.tanh(pre) if self.config.post_tanh else pre
+        o_hat = np.tanh(pre) if spec.post_tanh else pre
         o_c = conditioning_apply(self.conditioning_block(), o_hat, pvec)
         y = float(self.params["out.W"] @ o_c + self.params["out.b"][0])
         return y, new_state
@@ -466,33 +398,19 @@ class Model:
         scheduled.  Returns (y (B, L), new_state, cache or None).
         """
         cfg = self.config
-        arch = cfg.architecture
-        B, L = x.shape
+        spec = ARCH[cfg.architecture]
         prm = self.params
 
         ext = np.concatenate([state["hist"], x], axis=1)
-        win = np.lib.stride_tricks.sliding_window_view(ext, WINDOW_LEN, axis=1)[:, :, ::-1]
-
-        if arch == "ed":
-            u_seq = win[:, :, :ED_SPLIT] @ prm["proj.W"].T + prm["proj.b"]
-        else:
-            u_seq = win @ prm["proj.W"].T + prm["proj.b"]
+        win = windows(ext)
+        u_seq = win[:, :, :spec.proj_window] @ prm["proj.W"].T + prm["proj.b"]
 
         cache = {"x_ext": ext, "u_seq": u_seq} if want_cache else None
-        new_state = {"hist": ext[:, -HIST_LEN:].copy()}
-
-        if arch in ("lstm", "ed"):
-            o_rec, hc = self._scan_lstm_family(arch, state, u_seq, win, cache)
-            new_state["h"], new_state["c"] = hc
-        elif arch in DIAG_LTI:
-            o_rec, h_last = self._scan_diag_lti(DIAG_LTI[arch], state, u_seq, cache)
-            new_state["h"] = h_last
-        else:
-            o_rec, h_last = self._scan_s6(state, u_seq, cache)
-            new_state["h"] = h_last
+        o_rec, rec_state = spec.scan(self, state, u_seq, win, cache)
+        new_state = {"hist": ext[:, -HIST_LEN:].copy(), **rec_state}
 
         post_pre = o_rec @ prm["post.W"].T + prm["post.b"]
-        o_hat = np.tanh(post_pre) if cfg.post_tanh else post_pre
+        o_hat = np.tanh(post_pre) if spec.post_tanh else post_pre
 
         if cfg.cond_dim > 0:
             zf = p @ prm["film.W"].T + prm["film.b"]
@@ -512,28 +430,25 @@ class Model:
         if want_cache:
             cache.update(o_rec=o_rec, o_hat=o_hat, q=q, q1=q1, q2=q2, ss=ss,
                          o_c=o_c, y=y, p=p, theta=theta)
-            if cfg.post_tanh:
-                cache["post_pre"] = post_pre
         return y, new_state, cache
 
     # -- per-architecture scans ---------------------------------------------------
+    # Each returns o_rec (B, L, readout) and the recurrent state at the chunk end.
 
-    def _scan_lstm_family(self, arch, state, u_seq, win, cache):
+    def _scan_lstm_family(self, state, u_seq, win, cache):
         prm = self.params
         B, L, _ = u_seq.shape
         zin = u_seq @ prm["lstm.U"].T + prm["lstm.b"]
         ch = cc = None
-        if arch == "ed":
+        if self.config.architecture == "ed":
             blocks = win[:, :, ED_SPLIT:].reshape(B, L, 8, cells.ED_KERNEL)
             ch = blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0]
             cc = blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0]
         H, h, c, scan_cache = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"],
                                                  ch, cc, want_cache=cache is not None)
         if cache is not None:
-            cache.update(scan_cache)
-            if arch == "ed":
-                cache.update(cand_h=ch, cand_c=cc)
-        return H, (h, c)
+            cache.update(scan_cache, cand_h=ch, cand_c=cc)
+        return H, {"h": h, "c": c}
 
     # The linear-recurrence scans keep (B, L, n) shapes but allocate their
     # per-step arrays lane-major ((B, n, L) memory, seen through a transposed
@@ -541,9 +456,11 @@ class Model:
     # of those arrays stay lane-major too.  LRU and S4D share one diagonal-LTI
     # layer (see DiagLti); only S6, whose coefficients vary per step, has its own.
 
-    def _scan_diag_lti(self, lti, state, u_seq, cache):
+    def _scan_diag_lti(self, state, u_seq, win, cache):
         prm = self.params
-        lam, s = lti.weights(self).coeffs()
+        arch = self.config.architecture
+        lti = DIAG_LTI[arch]
+        lam, s = self.weights(arch).coeffs()
         M = prm[lti.M + "_re"] + 1j * prm[lti.M + "_im"]
         Bbar = s[:, None] * M
         pre = Bbar @ u_seq.transpose(0, 2, 1)
@@ -557,10 +474,10 @@ class Model:
             o_rec = o_rec + prm[lti.b_o]
         if cache is not None:
             cache.update(H=H, h0=state["h"].copy(), lam=lam, s=s, M=M, Bbar=Bbar)
-        return o_rec, H[:, -1].copy()
+        return o_rec, {"h": H[:, -1].copy()}
 
-    def _scan_s6(self, state, u_seq, cache):
-        w = self.s6_weights()
+    def _scan_s6(self, state, u_seq, win, cache):
+        w = self.weights("s6")
         B, L, _ = u_seq.shape
         a = w.a_diag()
         ut = u_seq.transpose(0, 2, 1)
@@ -577,7 +494,7 @@ class Model:
         if cache is not None:
             cache.update(H=H, h0=state["h"].copy(), zd=zd, delta=delta,
                          abar=abar, Bv=Bv, bbar=bbar, Cv=Cv, u_rep=u_rep)
-        return o_rec, H[:, -1].copy()
+        return o_rec, {"h": H[:, -1].copy()}
 
     # -- accounting ----------------------------------------------------------------
 
@@ -593,9 +510,10 @@ class Model:
         is expected only to within tens of percent.
         """
         cfg = self.config
-        proj = _dense(cfg.proj_units, cfg.proj_window)
+        spec = ARCH[cfg.architecture]
+        proj = _dense(spec.proj_units, spec.proj_window)
         rec = _recurrent_flops(cfg.architecture)
-        post = _dense(POST_UNITS, cfg.readout_units) + (POST_UNITS * _ACT if cfg.post_tanh else 0)
+        post = _dense(POST_UNITS, spec.readout_units) + (POST_UNITS * _ACT if spec.post_tanh else 0)
         cond = _conditioning_flops(cfg.cond_dim)
         out = _dense(1, POST_UNITS)
         total = proj + rec + post + cond + out
@@ -607,18 +525,68 @@ class Model:
         )
 
 
+# ---------------------------------------------------------------------------
+# What differs between the architectures
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ArchSpec:
+    """How one architecture fills the shared pipeline."""
+
+    groups: tuple[tuple[str, Callable], ...]  # (prefix, cells.init_*) in RNG order after "proj"
+    proj_units: int                           # projection output width
+    proj_window: int                          # newest window samples the projection reads
+    readout_units: int                        # recurrent readout width, the post-FC input
+    post_tanh: bool                           # tanh after the post-FC
+    state: tuple[tuple[str, int, type], ...]  # (name, width, dtype) of state besides "hist"
+    scan: Callable                            # batched recurrent layer, a Model._scan_* method
+
+
+_LSTM_STATE = (("h", LSTM_UNITS, np.float64), ("c", LSTM_UNITS, np.float64))
+
+# The linear-recurrence variants get a tanh after the post-FC to make up for
+# their activation-free recurrent layers; LSTM and ED stay linear.
+ARCH = {
+    "lstm": ArchSpec((("lstm", cells.init_lstm),), LSTM_IN, WINDOW_LEN, LSTM_UNITS, False,
+                     _LSTM_STATE, Model._scan_lstm_family),
+    "ed": ArchSpec((("enc", cells.init_ed_encoder), ("lstm", cells.init_lstm)), LSTM_IN, ED_SPLIT,
+                   LSTM_UNITS, False, _LSTM_STATE, Model._scan_lstm_family),
+    "lru": ArchSpec((("lru", cells.init_lru),), SSM_IN, WINDOW_LEN, SSM_IN, True,
+                    (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti),
+    "s4d": ArchSpec((("s4d", cells.init_s4d),), SSM_IN, WINDOW_LEN, SSM_IN, True,
+                    (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti),
+    "s6": ArchSpec((("s6", cells.init_s6),), SSM_IN, WINDOW_LEN, SSM_IN, True,
+                   (("h", SSM_STATE, np.float64),), Model._scan_s6),
+}
+ARCHITECTURES = tuple(ARCH)
+
+
+def _view(prefix: str, init: Callable) -> tuple[type, tuple[str, ...]]:
+    view = typing.get_type_hints(init)["return"]
+    return view, tuple(f"{prefix}.{f.name}" for f in fields(view))
+
+
+# prefix -> (cells weight dataclass, parameter names), built once: Model.weights
+# runs on every streamed buffer.
+_VIEWS = {"proj": _view("proj", cells.init_projection)}
+_VIEWS.update((prefix, _view(prefix, init)) for spec in ARCH.values() for prefix, init in spec.groups)
+
+_SSM_STEPS = {"lru": (cells.lru_step, cells.LruState), "s4d": (cells.s4d_step, SsmState),
+              "s6": (cells.s6_step, SsmState)}
+
+
 @dataclass(frozen=True)
 class DiagLti:
     """How LRU and S4D name their weights as one diagonal-LTI layer.
 
         h_t = lam * h_{t-1} + (s * M) u_t + b,   o_t = Re(C h_t) + D * u_t + b_o
 
-    ``weights`` returns the architecture's cells view, whose ``coeffs()``
-    maps its per-channel parameters to (lam, s).  M, C and b are complex,
-    stored as ``<name>_re``/``<name>_im``; a term the layer lacks is None.
+    The key in ``DIAG_LTI`` is also the weight prefix; that cells view's
+    ``coeffs()`` maps its per-channel parameters to (lam, s).  M, C and b
+    are complex, stored as ``<name>_re``/``<name>_im``; a term the layer
+    lacks is None.
     """
 
-    weights: Callable[[Model], LruWeights | S4dWeights]
     M: str
     C: str
     b: str | None = None
@@ -627,8 +595,8 @@ class DiagLti:
 
 
 DIAG_LTI = {
-    "lru": DiagLti(Model.lru_weights, M="lru.U", C="lru.W", b="lru.b", b_o="lru.b_o"),
-    "s4d": DiagLti(Model.s4d_weights, M="s4d.B", C="s4d.C", D="s4d.D"),
+    "lru": DiagLti(M="lru.U", C="lru.W", b="lru.b", b_o="lru.b_o"),
+    "s4d": DiagLti(M="s4d.B", C="s4d.C", D="s4d.D"),
 }
 
 

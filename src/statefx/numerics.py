@@ -1,4 +1,4 @@
-"""Minimal numerical kernels: dense products, activations, windowed DFTs.
+"""Minimal numerical kernels: activations and windowed DFTs.
 
 Everything here is a pure function of its inputs.  Arrays are float64
 unless the caller supplies float32; complex values use numpy's complex
@@ -11,31 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericError
+from .errors import DimensionError, InputError
 
 # Floor applied wherever a magnitude is divided by or passed to a log.
 MAG_FLOOR = 1e-7
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit shape checking.
-
-    Parameters
-    ----------
-    m : (rows, cols) array
-    v : (cols,) array
-
-    Returns
-    -------
-    (rows,) array
-    """
-    m = np.asarray(m)
-    v = np.asarray(v)
-    if m.ndim != 2 or v.ndim != 1:
-        raise DimensionError(f"matvec needs a 2-d matrix and 1-d vector, got {m.ndim}-d and {v.ndim}-d")
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec shape mismatch: {m.shape} @ {v.shape}")
-    return m @ v
 
 
 def sigmoid(x):
@@ -54,28 +33,6 @@ def softsign(x):
     x = np.asarray(x, dtype=np.float64)
     out = x / (1.0 + np.abs(x))
     return out if out.ndim else float(out)
-
-
-_ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "softsign": softsign,
-}
-
-
-def activation(kind: str, x):
-    """Evaluate one of the scalar activations used by the models.
-
-    ``kind`` is one of ``sigmoid`` (range (0,1)), ``tanh`` or ``softsign``
-    (both range (-1,1)).  Non-finite input raises NumericError.
-    """
-    if kind not in _ACTIVATIONS:
-        raise InputError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"activation({kind}) received a non-finite input")
-    out = _ACTIVATIONS[kind](arr)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)

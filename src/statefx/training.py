@@ -23,7 +23,7 @@ import numpy as np
 from . import scans
 from .cells import ED_KERNEL, ED_SPLIT, LSTM_UNITS, SSM_IN
 from .errors import InputError, NumericError, StabilityError
-from .model import DIAG_LTI, Checkpoint, Model
+from .model import ARCH, DIAG_LTI, Checkpoint, Model, windows
 from .numerics import sigmoid
 
 GradientSet = dict  # name -> array matching the weight's shape
@@ -157,6 +157,7 @@ def backward_segment(model: Model, state_in, segment, target, p=None):
 def _backward_from_cache(model: Model, cache, d_y) -> GradientSet:
     prm = model.params
     cfg = model.config
+    spec = ARCH[cfg.architecture]
     g: GradientSet = {}
 
     o_c, q1, q2, ss, q = cache["o_c"], cache["q1"], cache["q2"], cache["ss"], cache["q"]
@@ -188,54 +189,42 @@ def _backward_from_cache(model: Model, cache, d_y) -> GradientSet:
         d_ohat = d_q
 
     # post-recurrent FC (tanh for the linear-recurrence family)
-    d_post = d_ohat * (1.0 - o_hat ** 2) if cfg.post_tanh else d_ohat
+    d_post = d_ohat * (1.0 - o_hat ** 2) if spec.post_tanh else d_ohat
     o_rec = cache["o_rec"]
     g["post.W"] = np.einsum("blk,blr->kr", d_post, o_rec)
     g["post.b"] = d_post.sum(axis=(0, 1))
     d_orec = d_post @ prm["post.W"]
 
-    arch = cfg.architecture
-    if arch in ("lstm", "ed"):
-        d_useq = _backward_lstm_family(model, cache, d_orec, g)
-    elif arch in DIAG_LTI:
-        d_useq = _backward_diag_lti(model, cache, d_orec, g)
-    else:
-        d_useq = _backward_s6(model, cache, d_orec, g)
+    win = windows(cache["x_ext"])
+    d_useq = _BACKWARD[spec.scan](model, cache, win, d_orec, g)
 
-    # input projection over the (possibly ED-halved) windows
-    from .cells import WINDOW_LEN
-    win = np.lib.stride_tricks.sliding_window_view(cache["x_ext"], WINDOW_LEN, axis=1)[:, :, ::-1]
-    win_used = win[:, :, :ED_SPLIT] if arch == "ed" else win
-    g["proj.W"] = np.einsum("blu,blw->uw", d_useq, win_used)
+    g["proj.W"] = np.einsum("blu,blw->uw", d_useq, win[:, :, :spec.proj_window])
     g["proj.b"] = d_useq.sum(axis=(0, 1))
-
-    if arch == "ed":
-        blocks = win[:, :, ED_SPLIT:].reshape(win.shape[0], win.shape[1], LSTM_UNITS, ED_KERNEL)
-        g["enc.kernel_h"] = np.einsum("blo,blof->f", cache["d_cand_h"], blocks)
-        g["enc.bias_h"] = np.array([cache["d_cand_h"].sum()])
-        g["enc.kernel_c"] = np.einsum("blo,blof->f", cache["d_cand_c"], blocks)
-        g["enc.bias_c"] = np.array([cache["d_cand_c"].sum()])
-        del cache["d_cand_h"], cache["d_cand_c"]
 
     # canonical order, one gradient per weight
     return {k: g[k] for k in prm}
 
 
-def _backward_lstm_family(model, cache, d_orec, g) -> np.ndarray:
+# Each reverses one Model._scan_*: it adds the recurrent layer's weight
+# gradients to g and returns the gradient with respect to u_seq.
+
+def _backward_lstm_family(model, cache, win, d_orec, g) -> np.ndarray:
     prm = model.params
-    ed = model.config.architecture == "ed"
-    ch = cache["cand_h"] if ed else None
-    cc = cache["cand_c"] if ed else None
+    ch, cc = cache["cand_h"], cache["cand_c"]
     d_z, d_ch, d_cc = scans.lstm_backward(prm["lstm.W"], d_orec, cache, ch, cc)
     g["lstm.W"] = np.einsum("blz,blh->zh", d_z, cache["h_prev"])
     g["lstm.U"] = np.einsum("blz,blu->zu", d_z, cache["u_seq"])
     g["lstm.b"] = d_z.sum(axis=(0, 1))
-    if ed:
-        cache["d_cand_h"], cache["d_cand_c"] = d_ch, d_cc
+    if ch is not None:  # ED: the encoder maps the oldest half of each window
+        blocks = win[:, :, ED_SPLIT:].reshape(win.shape[0], win.shape[1], LSTM_UNITS, ED_KERNEL)
+        g["enc.kernel_h"] = np.einsum("blo,blof->f", d_ch, blocks)
+        g["enc.bias_h"] = np.array([d_ch.sum()])
+        g["enc.kernel_c"] = np.einsum("blo,blof->f", d_cc, blocks)
+        g["enc.bias_c"] = np.array([d_cc.sum()])
     return d_z @ prm["lstm.U"]
 
 
-def _backward_diag_lti(model, cache, d_orec, g) -> np.ndarray:
+def _backward_diag_lti(model, cache, win, d_orec, g) -> np.ndarray:
     arch = model.config.architecture
     lti, prm = DIAG_LTI[arch], model.params
     H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
@@ -267,7 +256,7 @@ def _backward_diag_lti(model, cache, d_orec, g) -> np.ndarray:
         d_useq = d_useq + d_orec * prm[lti.D]
     # Keep numpy loops after the last complex matmul: they clear the AVX
     # upper state that slows the SSE-compiled einsums (see scans._solve).
-    _COEFFS_VJP[arch](lti.weights(model), lam, s, g_lam, g_s, g)
+    _COEFFS_VJP[arch](model.weights(arch), lam, s, g_lam, g_s, g)
     return d_useq
 
 
@@ -294,8 +283,8 @@ def _s4d_coeffs_vjp(w, abar, s, g_abar, g_s, g) -> None:
 _COEFFS_VJP = {"lru": _lru_coeffs_vjp, "s4d": _s4d_coeffs_vjp}
 
 
-def _backward_s6(model, cache, d_orec, g) -> np.ndarray:
-    w = model.s6_weights()
+def _backward_s6(model, cache, win, d_orec, g) -> np.ndarray:
+    w = model.weights("s6")
     H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
     zd, delta, abar = cache["zd"], cache["delta"], cache["abar"]
     Bv, bbar, Cv, u_rep = cache["Bv"], cache["bbar"], cache["Cv"], cache["u_rep"]
@@ -337,6 +326,11 @@ def _backward_s6(model, cache, d_orec, g) -> np.ndarray:
 
     g["s6.log_neg_a"] = gA * a  # dA/d(log_neg_a) = -exp(.) = a
     return d_useq
+
+
+_BACKWARD = {Model._scan_lstm_family: _backward_lstm_family,
+             Model._scan_diag_lti: _backward_diag_lti,
+             Model._scan_s6: _backward_s6}
 
 
 # ---------------------------------------------------------------------------

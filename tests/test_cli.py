@@ -177,6 +177,60 @@ def test_nonfinite_checkpoint_weight_format_error(dataset_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def _render_inputs(tmp_path, cond_dim=2):
+    ckpt = tmp_path / "m.sfx"
+    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=cond_dim), seed=2), ckpt)
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
+    return ["render", "--checkpoint", str(ckpt), "--input", str(wav_in),
+            "--out", str(tmp_path / "o.wav")]
+
+
+@pytest.mark.parametrize("params", ["nan,0.5", "abc,0.5"])
+def test_render_bad_params_input_error(tmp_path, capsys, params):
+    argv = _render_inputs(tmp_path)
+    assert run(argv + ["--params", params]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("row", ["0,abc,0.5", "0,nan,0.5", "inf,0.5,0.5"])
+def test_render_bad_schedule_cell_format_error(tmp_path, capsys, row):
+    sched = tmp_path / "sched.csv"
+    sched.write_text(f"sample,p0,p1\n{row}\n")
+    assert run(_render_inputs(tmp_path) + ["--params-csv", str(sched)]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and str(sched) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--vary", "drive=abc"], ["--vary", "drive=nan"],
+                                  ["--vary", "drive=-1"], ["--fix", "tone=abc"]])
+def test_dataset_non_numeric_value_input_error(tmp_path, capsys, flag):
+    code = run(["dataset", "--effect", "waveshaper_overdrive", *flag, "--duration", "0.5",
+                "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text", [("dataset.json", "not json"), ("dataset.json", "{}"),
+                                        ("dataset.json", "[]"), ("params_001.json", "{}")])
+def test_eval_malformed_dataset_json_format_error(dataset_dir, tmp_path, capsys, name, text):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for f in dataset_dir.iterdir():
+        (ds / f.name).write_bytes(f.read_bytes())
+    (ds / name).write_text(text)
+    ckpt = tmp_path / "m.sfx"
+    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=1), seed=0), ckpt)
+    code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                "--composition", "1", "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FORMAT
+    assert err.startswith("format error:") and name in err and "Traceback" not in err
+
+
 def test_render_empty_wav_writes_empty_output(tmp_path, capsys):
     ckpt = tmp_path / "m.sfx"
     save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=2), ckpt)
@@ -260,6 +314,18 @@ def test_compare_ragged_inputs_error(tmp_path):
     _fake_eval_csv(tmp_path / "eval_b_c0.csv", "b", "fx", 0.3)
     code = run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(tmp_path / "c")])
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("text", ["model,dataset,mse\na,fx,0.5\n",
+                                  "model,dataset,split,mse,esr,nrmse,m_sf,m_stft\n"
+                                  "a,fx,mean,abc,1,1,1,1\n"])
+def test_compare_malformed_eval_csv_format_error(tmp_path, capsys, text):
+    path = tmp_path / "eval_a_c0.csv"
+    path.write_text(text)
+    code = run(["compare", str(path), "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FORMAT
+    assert err.startswith("format error:") and str(path) in err and "Traceback" not in err
 
 
 def test_compare_no_files_error(tmp_path):

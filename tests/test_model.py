@@ -74,8 +74,20 @@ def test_conditioning_matches_oracle():
 def test_conditioning_range_check():
     cb = ConditioningBlock(RNG.normal(size=(8, 2)), RNG.normal(size=8),
                            RNG.normal(size=(8, 4)), RNG.normal(size=8))
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(InputError):
+            conditioning_apply(cb, np.zeros(4), np.array([0.5, bad]))
+
+
+def test_nan_conditioning_rejected_by_both_routes():
+    m = make_model("lstm", cond_dim=2)
+    p = np.array([np.nan, 0.5])
     with pytest.raises(InputError):
-        conditioning_apply(cb, np.zeros(4), np.array([0.5, 1.5]))
+        m.forward_segment(m.init_state(1), np.zeros(100), p)
+    with pytest.raises(InputError):
+        m.forward_segment(m.init_state(1), np.zeros(100), np.tile(p, (100, 1)))
+    with pytest.raises(InputError):
+        m.forward_sample(m.init_state(1), np.zeros(64), p)
 
 
 def test_p0_outputs_ignore_supplied_p():
@@ -145,7 +157,7 @@ def test_forward_sample_composition_matches_module_oracles(arch):
                                                prm["lru.W_re"], prm["lru.W_im"],
                                                prm["lru.b_o"], np.zeros(12, dtype=complex), u)
         elif arch == "s4d":
-            w = m.s4d_weights()
+            w = m.weights("s4d")
             _, o_rec = oracles.s4d_step_oracle(w.a_diag(), w.delta(), w.B_re + 1j * w.B_im,
                                                w.C_re + 1j * w.C_im, w.D,
                                                np.zeros(12, dtype=complex), u)
