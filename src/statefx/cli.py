@@ -153,13 +153,10 @@ def cmd_eval(args) -> int:
     recs, meta, _, _, test_s = _load_split(args.dataset, args.composition)
     check_dataset_compat(model, meta["cond_dim"], meta["sample_rate"])
     dataset_name = meta["effect"]
-    reports = []
-    for i, stream in enumerate(test_s):
-        state = model.init_state(1)
-        y_hat, _ = model.forward_segment(state, stream.x, stream.p)
-        reports.append(metrics.compute_report(
-            stream.y, y_hat, model=model.config.architecture, dataset=dataset_name,
-            split=f"comp{args.composition}/rec{i}"))
+    _, _, preds = training.evaluate_streams(model, test_s)
+    reports = [metrics.compute_report(s.y, y_hat, model=model.config.architecture,
+                                      dataset=dataset_name, split=f"comp{args.composition}/rec{i}")
+               for i, (s, y_hat) in enumerate(zip(test_s, preds))]
     rows = reports + [metrics.mean_report(reports, model=model.config.architecture,
                                           dataset=dataset_name)]
     csv_path = out / f"eval_{model.config.architecture}_comp{args.composition}.csv"

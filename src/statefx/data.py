@@ -312,6 +312,8 @@ def grid_from_ranges(effect: OracleEffect, counts: dict, fixed: dict | None = No
     """Cartesian grid: ``counts`` maps a parameter to its number of equally
     spaced values across the declared range; ``fixed`` pins the rest."""
     fixed = dict(fixed or {})
+    for name in fixed:
+        effect.range_of(name)  # InputError for a name the effect lacks
     axes = []
     for name, k in counts.items():
         lo, hi = effect.range_of(name)
@@ -542,17 +544,28 @@ def save_dataset(out_dir, recordings: list) -> None:
     (out / DATASET_META).write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def _read_json(path: Path, keys: tuple) -> dict:
-    """A JSON object holding at least ``keys``, or FormatError naming the file."""
+def _typed(v, t) -> bool:
+    """isinstance for JSON values: a bool is no number, [t] is a list of t."""
+    if isinstance(t, list):
+        return isinstance(v, list) and all(_typed(x, t[0]) for x in v)
+    return isinstance(v, t) and not isinstance(v, bool)
+
+
+def _read_json(path: Path, schema: dict) -> dict:
+    """A JSON object holding every key of ``schema`` with a value of its type
+    (None: any), or FormatError naming the file."""
     try:
         obj = json.loads(path.read_text())
     except ValueError as e:  # undecodable bytes or not JSON
         raise FormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    missing = [k for k in keys if k not in obj]
+    missing = [k for k in schema if k not in obj]
     if missing:
         raise FormatError(f"{path}: missing {missing}")
+    bad = [k for k, t in schema.items() if t is not None and not _typed(obj[k], t)]
+    if bad:
+        raise FormatError(f"{path}: wrong value type for {bad}")
     return obj
 
 
@@ -562,12 +575,16 @@ def load_dataset(dir_path):
     meta_path = d / DATASET_META
     if not meta_path.exists():
         raise FormatError(f"{dir_path}: missing {DATASET_META}")
-    meta = _read_json(meta_path, ("effect", "cond_dim", "sample_rate", "combinations"))
+    meta = _read_json(meta_path, {"effect": str, "cond_dim": int, "sample_rate": int,
+                                  "combinations": int})
+    if meta["combinations"] < 0:
+        raise FormatError(f"{meta_path}: negative 'combinations'")
     effect = get_effect(meta["effect"])
     recs = []
     for i in range(meta["combinations"]):
-        sidecar = _read_json(d / f"params_{i:03d}.json",
-                             ("params_normalized", "cond_labels", "params_physical", "seed"))
+        sidecar = _read_json(d / f"params_{i:03d}.json", {
+            "params_normalized": [(int, float)], "cond_labels": [str],
+            "params_physical": None, "seed": None})
         x = load_wav(d / f"input_{i:03d}.wav", meta["sample_rate"])
         y = load_wav(d / f"output_{i:03d}.wav", meta["sample_rate"])
         recs.append(Recording(

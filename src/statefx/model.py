@@ -386,16 +386,17 @@ class Model:
             pc = pfull
             if pfull is not None and pfull.ndim == 3:
                 pc = pfull[:, sl, :]
-            y, cur, _ = self._forward_full(cur, x[:, sl], pc, want_cache=False)
+            y, cur = self._forward_full(cur, x[:, sl], pc)
             ys.append(y)
         y = np.concatenate(ys, axis=1) if len(ys) > 1 else ys[0]
         return (y[0], cur) if squeeze else (y, cur)
 
-    def _forward_full(self, state, x, p, want_cache: bool):
-        """Batched forward over one contiguous chunk; optionally cache for backprop.
+    def _forward_full(self, state, x, p, cache=None):
+        """Batched forward over one contiguous chunk; returns (y (B, L), new_state).
 
         ``p`` is already normalized: None, (B, P) static, or (B, L, P)
-        scheduled.  Returns (y (B, L), new_state, cache or None).
+        scheduled.  A ``cache`` dict, when given, is filled with what the
+        backward pass needs.
         """
         cfg = self.config
         spec = ARCH[cfg.architecture]
@@ -405,7 +406,8 @@ class Model:
         win = windows(ext)
         u_seq = win[:, :, :spec.proj_window] @ prm["proj.W"].T + prm["proj.b"]
 
-        cache = {"x_ext": ext, "u_seq": u_seq} if want_cache else None
+        if cache is not None:
+            cache.update(x_ext=ext, u_seq=u_seq)
         o_rec, rec_state = spec.scan(self, state, u_seq, win, cache)
         new_state = {"hist": ext[:, -HIST_LEN:].copy(), **rec_state}
 
@@ -427,10 +429,10 @@ class Model:
         o_c = q1 * ss
         y = o_c @ prm["out.W"] + prm["out.b"][0]
 
-        if want_cache:
+        if cache is not None:
             cache.update(o_rec=o_rec, o_hat=o_hat, q=q, q1=q1, q2=q2, ss=ss,
                          o_c=o_c, y=y, p=p, theta=theta)
-        return y, new_state, cache
+        return y, new_state
 
     # -- per-architecture scans ---------------------------------------------------
     # Each returns o_rec (B, L, readout) and the recurrent state at the chunk end.
@@ -444,11 +446,10 @@ class Model:
             blocks = win[:, :, ED_SPLIT:].reshape(B, L, 8, cells.ED_KERNEL)
             ch = blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0]
             cc = blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0]
-        H, h, c, scan_cache = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"],
-                                                 ch, cc, want_cache=cache is not None)
+        H, C = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"], ch, cc)
         if cache is not None:
-            cache.update(scan_cache, cand_h=ch, cand_c=cc)
-        return H, {"h": h, "c": c}
+            cache.update(zin=zin, H=H, C=C, h0=state["h"], c0=state["c"], cand_h=ch, cand_c=cc)
+        return H, {"h": H[:, -1].copy(), "c": C[:, -1].copy()}
 
     # The linear-recurrence scans keep (B, L, n) shapes but allocate their
     # per-step arrays lane-major ((B, n, L) memory, seen through a transposed

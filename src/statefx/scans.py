@@ -2,7 +2,9 @@
 
 Only the stateful parts live here; everything batched across time
 (projections, readouts, conditioning) stays in vectorized numpy in the
-model and training modules.  The LSTM family steps one sample at a time.
+model and training modules.  The LSTM family steps one sample at a time
+and keeps only the hidden and cell sequences (H, C); its adjoint rebuilds
+every gate from them in batch, so its reverse loop carries only (d_h, d_c).
 The diagonal linear recurrences (the LRU/S4D diagonal-LTI layer with a
 constant multiplier, S6 with a per-step one) need no step loop: over all
 (batch, state) lanes, h_t = a_t*h_{t-1} + p_t is one unit lower-bidiagonal
@@ -26,86 +28,86 @@ HAVE_NUMBA = False
 # LSTM / ED
 # ---------------------------------------------------------------------------
 
-def lstm_forward(W, zin, h0, c0, ch=None, cc=None, want_cache=False):
+def lstm_forward(W, zin, h0, c0, ch=None, cc=None):
     """Run the gated scan; with ch/cc present, the ED state merge runs first.
 
-    Returns (H, h_last, c_last, cache) where cache holds the per-step
-    quantities backward needs (or None).
+    Returns (H, C), the hidden and cell states after every step, each
+    (B, L, n).  Nothing else is kept: lstm_backward rebuilds the gates.
     """
     B, L, four_n = zin.shape
     n = four_n // 4
-    merge = ch is not None
-    shape = (B, L, n)
-    H = np.empty(shape)
-    cache = None
-    if want_cache:
-        F, I, O, G, CP, TC, HP = (np.empty(shape) for _ in range(7))
-        cache = {"f": F, "i": I, "o": O, "g": G, "c_prev": CP, "tanh_c": TC, "h_prev": HP}
-        if merge:
-            HPR, CPR = np.empty(shape), np.empty(shape)
-            cache.update(h_prev_raw=HPR, c_prev_raw=CPR)
+    H, C = np.empty((2, B, L, n))
     Wt = W.T
-    h, c = h0.copy(), c0.copy()
+    h, c = h0, c0
     for t in range(L):
-        if merge:
-            if want_cache:
-                HPR[:, t] = h
-                CPR[:, t] = c
+        if ch is not None:
             h = sigmoid(h) * ch[:, t]
             c = sigmoid(c) * cc[:, t]
-        if want_cache:
-            HP[:, t] = h
-            CP[:, t] = c
         z = h @ Wt + zin[:, t]
         gates = sigmoid(z[:, :3 * n])
-        f, i, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
         g = np.tanh(z[:, 3 * n:])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        H[:, t] = h
-        if want_cache:
-            F[:, t] = f
-            I[:, t] = i
-            O[:, t] = o
-            G[:, t] = g
-            TC[:, t] = tc
-    return H, h, c, cache
+        c = np.add(gates[:, :n] * c, gates[:, n:2 * n] * g, out=C[:, t])
+        h = np.multiply(gates[:, 2 * n:], np.tanh(c), out=H[:, t])
+    return H, C
 
 
-def lstm_backward(W, d_orec, cache, ch=None, cc=None):
-    """Reverse the gated scan; returns (d_z, d_ch, d_cc) with the encoder
-    candidate gradients present only for the ED merge."""
-    B, L, n = d_orec.shape
+def lstm_backward(W, d_orec, zin, H, C, h0, c0, ch=None, cc=None):
+    """Reverse the gated scan from the forward states (H, C) alone.
+
+    The states entering each step, the ED merge, the gates and the
+    per-step coefficients of the adjoint are rebuilt in batch; the reverse
+    loop only carries (d_h, d_c).  Returns (d_z, d_ch, d_cc, h_in): the
+    gate pre-activation gradient (B, L, 4n), the encoder candidate
+    gradients (ED only, else None) and the (merged) hidden states entering
+    each step.  The work runs time-major, so each step reads contiguous
+    rows; the results are (B, L, ...) views of that memory.
+    """
+    B, L, n = H.shape
     merge = ch is not None
-    d_z = np.empty((B, L, 4 * n))
-    d_ch = np.empty((B, L, n)) if merge else None
-    d_cc = np.empty((B, L, n)) if merge else None
-    F, I, O, G = cache["f"], cache["i"], cache["o"], cache["g"]
-    CP, TC = cache["c_prev"], cache["tanh_c"]
-    d_h = np.zeros((B, n))
-    d_c = np.zeros((B, n))
+    H, C, zin = H.swapaxes(0, 1), C.swapaxes(0, 1), zin.swapaxes(0, 1)
+    h_in = np.concatenate([h0[None], H[:-1]])
+    c_in = np.concatenate([c0[None], C[:-1]])
+    if merge:
+        ch, cc = ch.swapaxes(0, 1), cc.swapaxes(0, 1)
+        sh, sc = sigmoid(h_in), sigmoid(c_in)
+        h_in, c_in = sh * ch, sc * cc
+    z = (h_in @ W.T + zin).reshape(L, B, 4, n)
+    f, i, o = np.moveaxis(sigmoid(z[:, :, :3]), 2, 0)
+    g = np.tanh(z[:, :, 3])
+    tc = np.tanh(C)
+    # d_z_t = [d_c_t * kf, d_c_t * ki, d_h_t * ko, d_c_t * kg] with
+    # d_c_t = d_c + d_h_t * oc_t; kf, ki and kg take z's place, d_z takes theirs
+    k = z
+    np.multiply(c_in, f * (1.0 - f), out=k[:, :, 0])
+    np.multiply(g, i * (1.0 - i), out=k[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=k[:, :, 3])
+    ko = tc * o * (1.0 - o)
+    oc = o * (1.0 - tc * tc)
+    # carried into the step before: d_h = (d_z_t @ W) * kh_t, d_c = d_c_t * kc_t
+    if merge:
+        fs = f * sc
+        kc = fs * cc * (1.0 - sc)
+        kh = sh * ch * (1.0 - sh)
+    else:
+        kc = f.copy()  # its own memory, so the gate array is freed below
+    del z, c_in, f, i, o, g, tc
+    D_C = np.empty((L, B, n))
+    d_h, d_c = np.zeros((2, B, n))
     for t in range(L - 1, -1, -1):
         d_ht = d_orec[:, t] + d_h
-        tc = TC[:, t]
-        f = F[:, t]; i = I[:, t]; o = O[:, t]; g = G[:, t]
-        d_o = d_ht * tc
-        d_ct = d_c + d_ht * o * (1.0 - tc ** 2)
-        d_zt = d_z[:, t]
-        d_zt[:, 0:n] = d_ct * CP[:, t] * f * (1.0 - f)
-        d_zt[:, n:2 * n] = d_ct * g * i * (1.0 - i)
-        d_zt[:, 2 * n:3 * n] = d_o * o * (1.0 - o)
-        d_zt[:, 3 * n:4 * n] = d_ct * i * (1.0 - g ** 2)
-        d_h = d_zt @ W
-        d_c = d_ct * f
+        d_ct = np.add(d_c, d_ht * oc[t], out=D_C[t])
+        d_zt = np.multiply(k[t], d_ct[:, None], out=k[t])
+        np.multiply(ko[t], d_ht, out=d_zt[:, 2])
+        d_h = d_zt.reshape(B, 4 * n) @ W
         if merge:
-            sh = sigmoid(cache["h_prev_raw"][:, t])
-            sc = sigmoid(cache["c_prev_raw"][:, t])
-            d_ch[:, t] = d_h * sh
-            d_cc[:, t] = d_c * sc
-            d_h = d_h * ch[:, t] * sh * (1.0 - sh)
-            d_c = d_c * cc[:, t] * sc * (1.0 - sc)
-    return d_z, d_ch, d_cc
+            d_h *= kh[t]
+        d_c = d_ct * kc[t]
+    d_z = k.reshape(L, B, 4 * n)
+    del k, ko, oc, kc
+    d_ch = d_cc = None
+    if merge:
+        d_ch, d_cc = ((d_z @ W) * sh).swapaxes(0, 1), (D_C * fs).swapaxes(0, 1)
+    return d_z.swapaxes(0, 1), d_ch, d_cc, h_in.swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ carries across consecutive segments of the same stream, but gradients do
 not: ``backward_segment`` differentiates the segment MSE with respect to
 every weight while treating the incoming state as a constant, and hands
 back a detached outgoing state.  The reverse-mode code here is written by
-hand per recurrent layer (LSTM/ED, the LRU/S4D diagonal-LTI layer with one
-parameter-map VJP per architecture, S6); ``finite_difference_audit`` checks
+hand per recurrent layer (LSTM/ED, whose adjoint rebuilds the gates in batch
+from the cached (H, C); the LRU/S4D diagonal-LTI layer with one
+parameter-map VJP per architecture; S6); ``finite_difference_audit`` checks
 it against central differences.
 
 Complex-valued chains use the packed convention g_z = dL/dRe(z) +
@@ -138,11 +139,14 @@ def backward_segment(model: Model, state_in, segment, target, p=None):
     if x.shape != t.shape:
         raise InputError(f"segment/target shapes differ: {x.shape} vs {t.shape}")
     B, L = x.shape
+    if L == 0:
+        raise InputError("backward_segment needs at least one sample")
     pn = model._check_p(p, B, L)
     if pn is not None and pn.ndim == 3:
         raise InputError("backward_segment supports static per-stream conditioning only")
 
-    y, state_out, cache = model._forward_full(state_in, x, pn, want_cache=True)
+    cache = {}
+    y, state_out = model._forward_full(state_in, x, pn, cache)
     loss = loss_mse(t, y)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss in backward_segment")
@@ -211,8 +215,9 @@ def _backward_from_cache(model: Model, cache, d_y) -> GradientSet:
 def _backward_lstm_family(model, cache, win, d_orec, g) -> np.ndarray:
     prm = model.params
     ch, cc = cache["cand_h"], cache["cand_c"]
-    d_z, d_ch, d_cc = scans.lstm_backward(prm["lstm.W"], d_orec, cache, ch, cc)
-    g["lstm.W"] = np.einsum("blz,blh->zh", d_z, cache["h_prev"])
+    d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec, cache["zin"], cache["H"],
+                                                cache["C"], cache["h0"], cache["c0"], ch, cc)
+    g["lstm.W"] = np.einsum("blz,blh->zh", d_z, h_in)
     g["lstm.U"] = np.einsum("blz,blu->zu", d_z, cache["u_seq"])
     g["lstm.b"] = d_z.sum(axis=(0, 1))
     if ch is not None:  # ED: the encoder maps the oldest half of each window
@@ -431,6 +436,8 @@ def evaluate_streams(model: Model, streams: list, segment_len: int = 65536):
             sq_sum += float(d @ d)
             energy += float(streams[i].y @ streams[i].y)
             count += length
+    if count == 0:
+        raise InputError("no samples to evaluate")
     mse = sq_sum / count
     esr = sq_sum / energy if energy > 0 else float("inf")
     return mse, esr, outputs
@@ -541,7 +548,7 @@ def finite_difference_audit(model: Model, segment, target, p=None, eps: float = 
     state0 = model.init_state(batch=B)
 
     def loss_now() -> float:
-        y, _, _ = model._forward_full(state0, x, pn, want_cache=False)
+        y, _ = model._forward_full(state0, x, pn)
         return loss_mse(t, y)
 
     _, grads, _ = backward_segment(model, state0, x, t, pn)

@@ -214,13 +214,33 @@ def test_dataset_non_numeric_value_input_error(tmp_path, capsys, flag):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name, text", [("dataset.json", "not json"), ("dataset.json", "{}"),
-                                        ("dataset.json", "[]"), ("params_001.json", "{}")])
+def test_dataset_unknown_fixed_name_input_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    code = run(["dataset", "--effect", "waveshaper_overdrive", "--fix", "nosuch=1",
+                "--duration", "0.5", "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nosuch" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("dataset.json", "not json"), ("dataset.json", "{}"), ("dataset.json", "[]"),
+    ("params_001.json", "{}"),
+    # a dict replaces those keys of the valid file
+    ("dataset.json", {"combinations": "abc"}), ("dataset.json", {"combinations": -1}),
+    ("dataset.json", {"combinations": True}), ("dataset.json", {"sample_rate": 48000.5}),
+    ("dataset.json", {"cond_dim": "1"}), ("dataset.json", {"effect": ["identity"]}),
+    ("params_001.json", {"params_normalized": 0.5}),
+    ("params_001.json", {"params_normalized": ["0.5"]}),
+    ("params_001.json", {"cond_labels": "drive"}), ("params_001.json", {"cond_labels": [1]})])
 def test_eval_malformed_dataset_json_format_error(dataset_dir, tmp_path, capsys, name, text):
     ds = tmp_path / "ds"
     ds.mkdir()
     for f in dataset_dir.iterdir():
         (ds / f.name).write_bytes(f.read_bytes())
+    if isinstance(text, dict):
+        text = json.dumps({**json.loads((ds / name).read_text()), **text})
     (ds / name).write_text(text)
     ckpt = tmp_path / "m.sfx"
     save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=1), seed=0), ckpt)

@@ -87,10 +87,12 @@ def test_gradients_match_finite_differences(arch):
     assert err < 1e-4, f"{arch}: max fd error {err:.3e}"
 
 
-@pytest.mark.parametrize("arch", ["lru", "s4d"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_gradients_through_carried_state_match_finite_differences(arch):
     # two lanes entering with the state a previous segment left behind, so the
-    # h0 term of the multiplier gradient and the sums over lanes are exercised
+    # adjoint's use of the incoming state (the h0 term of a multiplier
+    # gradient, the first step of a gate rebuild) and the sums over lanes
+    # are exercised; finite_difference_audit starts from a zero state
     rng = np.random.default_rng(21)
     m = Model.init(ModelConfig(arch, cond_dim=2), seed=17)
     p = rng.uniform(0, 1, (2, 2))
@@ -117,6 +119,15 @@ def test_gradients_through_carried_state_match_finite_differences(arch):
             flat[j] = keep
             fd = (up - down) / (2.0 * eps)
             assert abs(fd - g[j]) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-6), (name, j, fd, g[j])
+
+
+@pytest.mark.parametrize("arch", ["lstm", "lru"])
+def test_empty_segment_rejected(arch):
+    m = Model.init(ModelConfig(arch, cond_dim=0), seed=1)
+    with pytest.raises(InputError):
+        backward_segment(m, m.init_state(2), np.zeros((2, 0)), np.zeros((2, 0)))
+    with pytest.raises(InputError):
+        finite_difference_audit(m, np.zeros(0), np.zeros(0))
 
 
 def test_fd_error_shrinks_with_eps():
