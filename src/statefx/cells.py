@@ -180,6 +180,14 @@ class LruWeights:
         """Diagonal-LTI coefficients (lambda, s): the input map is s * U."""
         return self.lam(), self.gamma()
 
+    def coeffs_vjp(self, lam, gamma, g_lam, g_gamma) -> dict[str, np.ndarray]:
+        """Field gradients from the packed gradients of coeffs()'s (lambda, gamma)."""
+        # lambda = exp(-exp(nu) + i theta); gamma = sqrt(1 - exp(-2 exp(nu)))
+        gw = np.conj(lam) * g_lam
+        e_nu = np.exp(self.nu)
+        return {"theta": gw.imag.copy(),
+                "nu": -gw.real * e_nu + g_gamma.real * (e_nu * np.exp(-2.0 * e_nu) / gamma)}
+
     def validate(self) -> None:
         # exp(nu) > 0 is exactly |lambda| < 1; |lambda| itself rounds to 1
         # for tiny exp(nu) that are stable.
@@ -244,6 +252,18 @@ class S4dWeights:
     def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal-LTI coefficients (abar, s): bbar = s * B."""
         return s4d_zoh(self.a_diag(), self.delta())
+
+    def coeffs_vjp(self, abar, s, g_abar, g_s) -> dict[str, np.ndarray]:
+        """Field gradients from the packed gradients of coeffs()'s (abar, s)."""
+        # abar = exp(delta * a); s = (abar - 1) / a
+        a, delta = self.a_diag(), self.delta()
+        g_abar = g_abar + g_s * np.conj(1.0 / a)
+        gA = g_s * np.conj(-s / a)
+        gz = np.conj(abar) * g_abar
+        gA = gA + gz * delta
+        return {"log_neg_a_re": -gA.real * np.exp(self.log_neg_a_re),
+                "a_im": gA.imag.copy(),
+                "log_delta": (np.conj(a) * gz).real * delta}
 
     def validate(self) -> None:
         # s4d_zoh rejects delta <= 0 and Re(a) >= 0, which is exactly

@@ -121,13 +121,13 @@ def cmd_train(args) -> int:
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    recs, meta, train_s, val_s, _ = _load_split(args.dataset, args.composition)
-    cfg = ModelConfig(args.arch, cond_dim=meta["cond_dim"], sample_rate=meta["sample_rate"])
-    model = Model.init(cfg, seed=args.seed)
     tcfg = training.TrainConfig(
         initial_lr=args.lr, max_epochs=args.max_epochs, patience=args.patience,
         segment_len=args.segment_len, batch_size=args.batch_size,
         decay_mode=args.decay_mode, seed=args.seed)
+    recs, meta, train_s, val_s, _ = _load_split(args.dataset, args.composition)
+    cfg = ModelConfig(args.arch, cond_dim=meta["cond_dim"], sample_rate=meta["sample_rate"])
+    model = Model.init(cfg, seed=args.seed)
     ckpt, history = training.train(model, training.TrainSplit(train_s, val_s), tcfg)
     ckpt_path = out / "checkpoint.sfx"
     ckpt.save(ckpt_path)
@@ -242,6 +242,8 @@ def cmd_benchmark(args) -> int:
         model = Model.init(ModelConfig(args.arch, cond_dim=args.cond_dim), seed=0)
     cfg = model.config
     fs = cfg.sample_rate
+    if not (np.isfinite(args.seconds) and args.seconds * fs >= 1):
+        raise InputError(f"--seconds must be finite and cover at least one sample, got {args.seconds:g}")
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.5, 0.5, int(args.seconds * fs))
     p = np.full(cfg.cond_dim, 0.5) if cfg.cond_dim else None

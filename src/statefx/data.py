@@ -77,11 +77,15 @@ def generate_input_signal(duration: float = DEFAULT_DURATION, sample_rate: int =
     Peak amplitude stays <= 1.
     """
     fs = sample_rate
+    if not np.isfinite(duration):
+        raise InputError(f"duration must be finite, got {duration}")
     n_total = int(round(duration * fs))
     rng = np.random.default_rng(seed)
     gap = int(0.02 * fs)
     weights = (0.35, 0.20, 0.20, 0.25)
     budget = n_total - 3 * gap
+    if budget < 0:
+        raise InputError(f"duration {duration:g} s is shorter than the three {gap}-sample guards")
     lens = [int(budget * w) for w in weights]
     lens[-1] = budget - sum(lens[:-1])
 

@@ -13,6 +13,13 @@ single-stream step functions from ``statefx.cells`` one sample at a time.
 ``forward_segment`` is the batched fast path used for training, rendering
 and benchmarking.  They must agree to float rounding; the streaming
 equivalence tests pin that down.
+
+The hand-written reverse mode sits next to the forward it reverses:
+``Model._forward_full`` and each ``Model._scan_*`` return a pullback closed
+over their own arrays (LRU and S4D differ only in their ``coeffs_vjp``).
+Complex-valued chains use the packed convention g_z = dL/dRe(z) +
+i*dL/dIm(z), under which a product w = a*b propagates as g_a = conj(b)*g_w
+and a holomorphic f gives g_z = conj(f'(z))*g_{f(z)}.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .errors import (
     FormatError,
     InputError,
 )
-from .numerics import softsign
+from .numerics import sigmoid, softsign
 
 POST_UNITS = 4          # every variant reduces to 4 before conditioning
 HIST_LEN = WINDOW_LEN - 1
@@ -78,10 +85,10 @@ class ModelConfig:
             raise InputError("cond_dim must be >= 0")
 
 
-def windows(ext: np.ndarray) -> np.ndarray:
-    """Newest-first 64-sample windows over (B, 63 + L) history plus input:
-    a (B, L, 64) view whose [:, n, 0] is sample n."""
-    return np.lib.stride_tricks.sliding_window_view(ext, WINDOW_LEN, axis=1)[:, :, ::-1]
+def _per_substate(x: np.ndarray) -> np.ndarray:
+    """(B, L, 6) -> (B, L, 12): each S6 channel repeated for its two substates,
+    in lane-major memory like the scan's."""
+    return np.repeat(x.transpose(0, 2, 1), 2, axis=1).transpose(0, 2, 1)
 
 
 @dataclass
@@ -386,29 +393,28 @@ class Model:
             pc = pfull
             if pfull is not None and pfull.ndim == 3:
                 pc = pfull[:, sl, :]
-            y, cur = self._forward_full(cur, x[:, sl], pc)
+            y, cur = self._forward_full(cur, x[:, sl], pc)[:2]
             ys.append(y)
         y = np.concatenate(ys, axis=1) if len(ys) > 1 else ys[0]
         return (y[0], cur) if squeeze else (y, cur)
 
-    def _forward_full(self, state, x, p, cache=None):
-        """Batched forward over one contiguous chunk; returns (y (B, L), new_state).
+    def _forward_full(self, state, x, p):
+        """Batched forward over one contiguous chunk: (y (B, L), new_state, pullback).
 
         ``p`` is already normalized: None, (B, P) static, or (B, L, P)
-        scheduled.  A ``cache`` dict, when given, is filled with what the
-        backward pass needs.
+        scheduled.  ``pullback(d_y)`` returns every weight's gradient in
+        ``params`` order, for static ``p``; the incoming state is a constant.
         """
         cfg = self.config
         spec = ARCH[cfg.architecture]
         prm = self.params
 
         ext = np.concatenate([state["hist"], x], axis=1)
-        win = windows(ext)
+        # newest-first 64-sample windows, a (B, L, 64) view: win[:, n, 0] is sample n
+        win = np.lib.stride_tricks.sliding_window_view(ext, WINDOW_LEN, axis=1)[:, :, ::-1]
         u_seq = win[:, :, :spec.proj_window] @ prm["proj.W"].T + prm["proj.b"]
 
-        if cache is not None:
-            cache.update(x_ext=ext, u_seq=u_seq)
-        o_rec, rec_state = spec.scan(self, state, u_seq, win, cache)
+        o_rec, rec_state, scan_pullback = spec.scan(self, state, u_seq, win)
         new_state = {"hist": ext[:, -HIST_LEN:].copy(), **rec_state}
 
         post_pre = o_rec @ prm["post.W"].T + prm["post.b"]
@@ -421,7 +427,6 @@ class Model:
                 theta, eta = theta[:, None, :], eta[:, None, :]
             q = theta * o_hat + eta
         else:
-            theta = None
             q = o_hat
         zg = q @ prm["glu.W"].T + prm["glu.b"]
         q1, q2 = zg[..., :POST_UNITS], zg[..., POST_UNITS:]
@@ -429,27 +434,81 @@ class Model:
         o_c = q1 * ss
         y = o_c @ prm["out.W"] + prm["out.b"][0]
 
-        if cache is not None:
-            cache.update(o_rec=o_rec, o_hat=o_hat, q=q, q1=q1, q2=q2, ss=ss,
-                         o_c=o_c, y=y, p=p, theta=theta)
-        return y, new_state
+        def pullback(d_y):
+            g = {}
+            # output layer: y = o_c @ W_out + b_out
+            g["out.W"] = np.einsum("bl,blk->k", d_y, o_c)
+            g["out.b"] = np.array([d_y.sum()])
+            d_oc = d_y[..., None] * prm["out.W"]
+
+            # GLU: o_c = q1 * softsign(q2)
+            d_q1 = d_oc * ss
+            d_q2 = d_oc * q1 / (1.0 + np.abs(q2)) ** 2
+            d_zg = np.concatenate([d_q1, d_q2], axis=-1)
+            g["glu.W"] = np.einsum("blz,blk->zk", d_zg, q)
+            g["glu.b"] = d_zg.sum(axis=(0, 1))
+            d_q = d_zg @ prm["glu.W"]
+
+            # FiLM: q = theta * o_hat + eta (theta static per stream)
+            if cfg.cond_dim > 0:
+                d_theta = (d_q * o_hat).sum(axis=1)
+                d_eta = d_q.sum(axis=1)
+                d_zf = np.concatenate([d_theta, d_eta], axis=-1)
+                g["film.W"] = np.einsum("bz,bp->zp", d_zf, p)
+                g["film.b"] = d_zf.sum(axis=0)
+                d_ohat = d_q * theta
+            else:
+                d_ohat = d_q
+
+            # post-recurrent FC (tanh for the linear-recurrence family)
+            d_post = d_ohat * (1.0 - o_hat ** 2) if spec.post_tanh else d_ohat
+            g["post.W"] = np.einsum("blk,blr->kr", d_post, o_rec)
+            g["post.b"] = d_post.sum(axis=(0, 1))
+            d_useq = scan_pullback(d_post @ prm["post.W"], g)
+
+            g["proj.W"] = np.einsum("blu,blw->uw", d_useq, win[:, :, :spec.proj_window])
+            g["proj.b"] = d_useq.sum(axis=(0, 1))
+            return {k: g[k] for k in prm}
+
+        return y, new_state, pullback
 
     # -- per-architecture scans ---------------------------------------------------
-    # Each returns o_rec (B, L, readout) and the recurrent state at the chunk end.
+    # Each returns o_rec (B, L, readout), the recurrent state at the chunk end
+    # and pullback(d_orec, g): it adds the layer's weight gradients to g and
+    # returns the gradient with respect to u_seq.
 
-    def _scan_lstm_family(self, state, u_seq, win, cache):
+    def _lstm_inputs(self, u_seq, win):
+        """Gate inputs zin and, for ED, the encoder candidates and window blocks."""
         prm = self.params
         B, L, _ = u_seq.shape
         zin = u_seq @ prm["lstm.U"].T + prm["lstm.b"]
-        ch = cc = None
-        if self.config.architecture == "ed":
-            blocks = win[:, :, ED_SPLIT:].reshape(B, L, 8, cells.ED_KERNEL)
-            ch = blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0]
-            cc = blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0]
+        if self.config.architecture != "ed":
+            return zin, None, None, None
+        blocks = win[:, :, ED_SPLIT:].reshape(B, L, 8, cells.ED_KERNEL)
+        return (zin, blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0],
+                blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0], blocks)
+
+    def _scan_lstm_family(self, state, u_seq, win):
+        prm = self.params
+        zin, ch, cc, _ = self._lstm_inputs(u_seq, win)
         H, C = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"], ch, cc)
-        if cache is not None:
-            cache.update(zin=zin, H=H, C=C, h0=state["h"], c0=state["c"], cand_h=ch, cand_c=cc)
-        return H, {"h": H[:, -1].copy(), "c": C[:, -1].copy()}
+
+        def pullback(d_orec, g):
+            # rebuilt rather than held, so a forward-only call frees them when the scan returns
+            zin, ch, cc, blocks = self._lstm_inputs(u_seq, win)
+            d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec, zin, H, C,
+                                                        state["h"], state["c"], ch, cc)
+            g["lstm.W"] = np.einsum("blz,blh->zh", d_z, h_in)
+            g["lstm.U"] = np.einsum("blz,blu->zu", d_z, u_seq)
+            g["lstm.b"] = d_z.sum(axis=(0, 1))
+            if ch is not None:  # ED: the encoder maps the oldest half of each window
+                g["enc.kernel_h"] = np.einsum("blo,blof->f", d_ch, blocks)
+                g["enc.bias_h"] = np.array([d_ch.sum()])
+                g["enc.kernel_c"] = np.einsum("blo,blof->f", d_cc, blocks)
+                g["enc.bias_c"] = np.array([d_cc.sum()])
+            return d_z @ prm["lstm.U"]
+
+        return H, {"h": H[:, -1].copy(), "c": C[:, -1].copy()}, pullback
 
     # The linear-recurrence scans keep (B, L, n) shapes but allocate their
     # per-step arrays lane-major ((B, n, L) memory, seen through a transposed
@@ -457,7 +516,7 @@ class Model:
     # of those arrays stay lane-major too.  LRU and S4D share one diagonal-LTI
     # layer (see DiagLti); only S6, whose coefficients vary per step, has its own.
 
-    def _scan_diag_lti(self, state, u_seq, win, cache):
+    def _scan_diag_lti(self, state, u_seq, win):
         prm = self.params
         arch = self.config.architecture
         lti = DIAG_LTI[arch]
@@ -468,16 +527,46 @@ class Model:
         if lti.b:
             pre += (prm[lti.b + "_re"] + 1j * prm[lti.b + "_im"])[:, None]
         H = scans.diag_scan(state["h"], lam, pre.transpose(0, 2, 1))
-        o_rec = np.real(H @ (prm[lti.C + "_re"] + 1j * prm[lti.C + "_im"]).T)
+        C = prm[lti.C + "_re"] + 1j * prm[lti.C + "_im"]
+        o_rec = np.real(H @ C.T)
         if lti.D:
             o_rec = o_rec + prm[lti.D] * u_seq
         if lti.b_o:
             o_rec = o_rec + prm[lti.b_o]
-        if cache is not None:
-            cache.update(H=H, h0=state["h"].copy(), lam=lam, s=s, M=M, Bbar=Bbar)
-        return o_rec, {"h": H[:, -1].copy()}
 
-    def _scan_s6(self, state, u_seq, win, cache):
+        def pullback(d_orec, g):
+            # o = Re(C h) + D * u + b_o
+            gC = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
+            g[lti.C + "_re"], g[lti.C + "_im"] = gC.real.copy(), -gC.imag
+            if lti.b_o:
+                g[lti.b_o] = d_orec.sum(axis=(0, 1))
+            if lti.D:
+                g[lti.D] = np.einsum("blu,blu->u", d_orec, u_seq)
+            # lane-major like H, so the adjoint solve runs in place
+            gh_read = (np.conj(C).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+            g_pre, g_lam = scans.diag_scan_backward(gh_read, H, state["h"], lam)
+
+            # pre = (s * M) @ u + b
+            if lti.b:
+                gb = g_pre.sum(axis=(0, 1))
+                g[lti.b + "_re"], g[lti.b + "_im"] = gb.real.copy(), gb.imag.copy()
+            g_Bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
+            gM = np.conj(s)[:, None] * g_Bbar
+            g[lti.M + "_re"], g[lti.M + "_im"] = gM.real.copy(), gM.imag.copy()
+            g_s = (np.conj(M) * g_Bbar).sum(axis=1)
+            d_useq = (g_pre @ np.conj(Bbar)).real
+            if lti.D:
+                d_useq = d_useq + d_orec * prm[lti.D]
+            # Keep numpy loops after the last complex matmul: they clear the AVX
+            # upper state that slows the SSE-compiled einsums (see scans._solve).
+            vjp = self.weights(arch).coeffs_vjp(lam, s, g_lam, g_s)
+            g.update((f"{arch}.{k}", v) for k, v in vjp.items())
+            return d_useq
+
+        return o_rec, {"h": H[:, -1].copy()}, pullback
+
+    def _scan_s6(self, state, u_seq, win):
         w = self.weights("s6")
         B, L, _ = u_seq.shape
         a = w.a_diag()
@@ -486,16 +575,49 @@ class Model:
         delta = softplus(zd)
         abar = np.exp(a[:, None] * delta[:, None, :]).transpose(0, 2, 1)
         Bv = (w.W_B @ ut + w.b_B[:, None]).transpose(0, 2, 1)
-        bbar = (abar - 1.0) / a * Bv
         Cv = (w.W_C @ ut + w.b_C[:, None]).transpose(0, 2, 1)
-        u_rep = np.repeat(ut, 2, axis=1).transpose(0, 2, 1)
-        pre = bbar * u_rep
+        # pre = bbar * u; the pullback rebuilds both factors instead of holding them
+        pre = (abar - 1.0) / a * Bv * _per_substate(u_seq)
         H = scans.diag_scan(state["h"], abar, pre)
         o_rec = (Cv * H).reshape(B, L, SSM_IN, 2).sum(axis=3) + w.D * u_seq
-        if cache is not None:
-            cache.update(H=H, h0=state["h"].copy(), zd=zd, delta=delta,
-                         abar=abar, Bv=Bv, bbar=bbar, Cv=Cv, u_rep=u_rep)
-        return o_rec, {"h": H[:, -1].copy()}
+
+        def pullback(d_orec, g):
+            # lane-major like H, so the adjoint solve runs in place
+            d_orep = _per_substate(d_orec)
+            gCv = d_orep * H
+            gh_read = d_orep * Cv
+            g["s6.D"] = np.einsum("blu,blu->u", d_orec, u_seq)
+            d_useq = d_orec * w.D
+
+            g_pre, g_abar_t = scans.diag_scan_backward(gh_read, H, state["h"], abar)
+
+            s = (abar - 1.0) / a
+            g_bbar = g_pre * _per_substate(u_seq)
+            d_useq = d_useq + (g_pre * (s * Bv)).reshape(B, L, SSM_IN, 2).sum(axis=3)
+            gBv = g_bbar * s
+            gs = g_bbar * Bv
+            g_abar_t = g_abar_t + gs / a
+            gA = (gs * (-(abar - 1.0) / a ** 2)).sum(axis=(0, 1))
+
+            gz = g_abar_t * abar
+            gA = gA + (gz * delta[..., None]).sum(axis=(0, 1))
+            g_delta = gz @ a
+            g_zd = g_delta * sigmoid(zd)
+            g["s6.W_delta"] = np.einsum("bl,blu->u", g_zd, u_seq)
+            g["s6.b_delta"] = np.array([g_zd.sum()])
+            d_useq = d_useq + g_zd[..., None] * w.W_delta
+
+            g["s6.W_B"] = np.einsum("blk,blu->ku", gBv, u_seq)
+            g["s6.b_B"] = gBv.sum(axis=(0, 1))
+            d_useq = d_useq + gBv @ w.W_B
+            g["s6.W_C"] = np.einsum("blk,blu->ku", gCv, u_seq)
+            g["s6.b_C"] = gCv.sum(axis=(0, 1))
+            d_useq = d_useq + gCv @ w.W_C
+
+            g["s6.log_neg_a"] = gA * a  # dA/d(log_neg_a) = -exp(.) = a
+            return d_useq
+
+        return o_rec, {"h": H[:, -1].copy()}, pullback
 
     # -- accounting ----------------------------------------------------------------
 
@@ -583,9 +705,9 @@ class DiagLti:
         h_t = lam * h_{t-1} + (s * M) u_t + b,   o_t = Re(C h_t) + D * u_t + b_o
 
     The key in ``DIAG_LTI`` is also the weight prefix; that cells view's
-    ``coeffs()`` maps its per-channel parameters to (lam, s).  M, C and b
-    are complex, stored as ``<name>_re``/``<name>_im``; a term the layer
-    lacks is None.
+    ``coeffs()`` maps its per-channel parameters to (lam, s), and
+    ``coeffs_vjp()`` maps their gradients back.  M, C and b are complex,
+    stored as ``<name>_re``/``<name>_im``; a term the layer lacks is None.
     """
 
     M: str

@@ -4,15 +4,11 @@ Training slices each recording into 2400-sample segments.  Recurrent state
 carries across consecutive segments of the same stream, but gradients do
 not: ``backward_segment`` differentiates the segment MSE with respect to
 every weight while treating the incoming state as a constant, and hands
-back a detached outgoing state.  The reverse-mode code here is written by
-hand per recurrent layer (LSTM/ED, whose adjoint rebuilds the gates in batch
-from the cached (H, C); the LRU/S4D diagonal-LTI layer with one
-parameter-map VJP per architecture; S6); ``finite_difference_audit`` checks
-it against central differences.
-
-Complex-valued chains use the packed convention g_z = dL/dRe(z) +
-i*dL/dIm(z), under which a product w = a*b propagates as g_a = conj(b)*g_w
-and a holomorphic f gives g_z = conj(f'(z))*g_{f(z)}.
+back a detached outgoing state.  Minibatches group whole streams; each
+segment takes one Adam step on globally clipped gradients, the learning
+rate decays exponentially, and validation after every epoch drives early
+stopping.  The gradients come from the pullbacks in ``statefx.model``;
+``finite_difference_audit`` checks them against central differences.
 """
 
 from __future__ import annotations
@@ -21,11 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scans
-from .cells import ED_KERNEL, ED_SPLIT, LSTM_UNITS, SSM_IN
 from .errors import InputError, NumericError, StabilityError
-from .model import ARCH, DIAG_LTI, Checkpoint, Model, windows
-from .numerics import sigmoid
+from .model import Checkpoint, Model
 
 GradientSet = dict  # name -> array matching the weight's shape
 
@@ -70,8 +63,8 @@ class TrainConfig:
             raise InputError(f"decay_mode must be 'staged' or 'literal', got {self.decay_mode!r}")
         for name in ("initial_lr", "decay_base", "decay_every", "max_epochs",
                      "segment_len", "batch_size", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"TrainConfig.{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise InputError(f"TrainConfig.{name} must be positive and finite")
         if self.patience < 0:
             raise InputError("TrainConfig.patience must be >= 0")
 
@@ -145,197 +138,15 @@ def backward_segment(model: Model, state_in, segment, target, p=None):
     if pn is not None and pn.ndim == 3:
         raise InputError("backward_segment supports static per-stream conditioning only")
 
-    cache = {}
-    y, state_out = model._forward_full(state_in, x, pn, cache)
+    y, state_out, pullback = model._forward_full(state_in, x, pn)
     loss = loss_mse(t, y)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss in backward_segment")
-    d_y = 2.0 * (y - t) / y.size
-    grads = _backward_from_cache(model, cache, d_y)
+    grads = pullback(2.0 * (y - t) / y.size)
     bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
     if bad:
         raise NumericError(f"non-finite gradient for {bad}")
     return loss, grads, state_out
-
-
-def _backward_from_cache(model: Model, cache, d_y) -> GradientSet:
-    prm = model.params
-    cfg = model.config
-    spec = ARCH[cfg.architecture]
-    g: GradientSet = {}
-
-    o_c, q1, q2, ss, q = cache["o_c"], cache["q1"], cache["q2"], cache["ss"], cache["q"]
-    o_hat = cache["o_hat"]
-
-    # output layer: y = o_c @ W_out + b_out
-    g["out.W"] = np.einsum("bl,blk->k", d_y, o_c)
-    g["out.b"] = np.array([d_y.sum()])
-    d_oc = d_y[..., None] * prm["out.W"]
-
-    # GLU: o_c = q1 * softsign(q2)
-    d_q1 = d_oc * ss
-    d_q2 = d_oc * q1 / (1.0 + np.abs(q2)) ** 2
-    d_zg = np.concatenate([d_q1, d_q2], axis=-1)
-    g["glu.W"] = np.einsum("blz,blk->zk", d_zg, q)
-    g["glu.b"] = d_zg.sum(axis=(0, 1))
-    d_q = d_zg @ prm["glu.W"]
-
-    # FiLM: q = theta * o_hat + eta (theta static per stream)
-    if cfg.cond_dim > 0:
-        p = cache["p"]
-        d_theta = (d_q * o_hat).sum(axis=1)
-        d_eta = d_q.sum(axis=1)
-        d_zf = np.concatenate([d_theta, d_eta], axis=-1)
-        g["film.W"] = np.einsum("bz,bp->zp", d_zf, p)
-        g["film.b"] = d_zf.sum(axis=0)
-        d_ohat = d_q * cache["theta"]
-    else:
-        d_ohat = d_q
-
-    # post-recurrent FC (tanh for the linear-recurrence family)
-    d_post = d_ohat * (1.0 - o_hat ** 2) if spec.post_tanh else d_ohat
-    o_rec = cache["o_rec"]
-    g["post.W"] = np.einsum("blk,blr->kr", d_post, o_rec)
-    g["post.b"] = d_post.sum(axis=(0, 1))
-    d_orec = d_post @ prm["post.W"]
-
-    win = windows(cache["x_ext"])
-    d_useq = _BACKWARD[spec.scan](model, cache, win, d_orec, g)
-
-    g["proj.W"] = np.einsum("blu,blw->uw", d_useq, win[:, :, :spec.proj_window])
-    g["proj.b"] = d_useq.sum(axis=(0, 1))
-
-    # canonical order, one gradient per weight
-    return {k: g[k] for k in prm}
-
-
-# Each reverses one Model._scan_*: it adds the recurrent layer's weight
-# gradients to g and returns the gradient with respect to u_seq.
-
-def _backward_lstm_family(model, cache, win, d_orec, g) -> np.ndarray:
-    prm = model.params
-    ch, cc = cache["cand_h"], cache["cand_c"]
-    d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec, cache["zin"], cache["H"],
-                                                cache["C"], cache["h0"], cache["c0"], ch, cc)
-    g["lstm.W"] = np.einsum("blz,blh->zh", d_z, h_in)
-    g["lstm.U"] = np.einsum("blz,blu->zu", d_z, cache["u_seq"])
-    g["lstm.b"] = d_z.sum(axis=(0, 1))
-    if ch is not None:  # ED: the encoder maps the oldest half of each window
-        blocks = win[:, :, ED_SPLIT:].reshape(win.shape[0], win.shape[1], LSTM_UNITS, ED_KERNEL)
-        g["enc.kernel_h"] = np.einsum("blo,blof->f", d_ch, blocks)
-        g["enc.bias_h"] = np.array([d_ch.sum()])
-        g["enc.kernel_c"] = np.einsum("blo,blof->f", d_cc, blocks)
-        g["enc.bias_c"] = np.array([d_cc.sum()])
-    return d_z @ prm["lstm.U"]
-
-
-def _backward_diag_lti(model, cache, win, d_orec, g) -> np.ndarray:
-    arch = model.config.architecture
-    lti, prm = DIAG_LTI[arch], model.params
-    H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
-    lam, s, M, Bbar = cache["lam"], cache["s"], cache["M"], cache["Bbar"]
-    C = prm[lti.C + "_re"] + 1j * prm[lti.C + "_im"]
-
-    # o = Re(C h) + D * u + b_o
-    gC = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
-    g[lti.C + "_re"], g[lti.C + "_im"] = gC.real.copy(), -gC.imag
-    if lti.b_o:
-        g[lti.b_o] = d_orec.sum(axis=(0, 1))
-    if lti.D:
-        g[lti.D] = np.einsum("blu,blu->u", d_orec, u_seq)
-    # lane-major like H, so the adjoint solve runs in place
-    gh_read = (np.conj(C).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-    g_pre, g_lam = scans.diag_scan_backward(gh_read, H, h0, lam)
-
-    # pre = (s * M) @ u + b
-    if lti.b:
-        gb = g_pre.sum(axis=(0, 1))
-        g[lti.b + "_re"], g[lti.b + "_im"] = gb.real.copy(), gb.imag.copy()
-    g_Bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
-    gM = np.conj(s)[:, None] * g_Bbar
-    g[lti.M + "_re"], g[lti.M + "_im"] = gM.real.copy(), gM.imag.copy()
-    g_s = (np.conj(M) * g_Bbar).sum(axis=1)
-    d_useq = (g_pre @ np.conj(Bbar)).real
-    if lti.D:
-        d_useq = d_useq + d_orec * prm[lti.D]
-    # Keep numpy loops after the last complex matmul: they clear the AVX
-    # upper state that slows the SSE-compiled einsums (see scans._solve).
-    _COEFFS_VJP[arch](model.weights(arch), lam, s, g_lam, g_s, g)
-    return d_useq
-
-
-def _lru_coeffs_vjp(w, lam, gamma, g_lam, g_gamma, g) -> None:
-    # lambda = exp(-exp(nu) + i theta); gamma = sqrt(1 - exp(-2 exp(nu)))
-    gw = np.conj(lam) * g_lam
-    e_nu = np.exp(w.nu)
-    g["lru.theta"] = gw.imag.copy()
-    g["lru.nu"] = -gw.real * e_nu + g_gamma.real * (e_nu * np.exp(-2.0 * e_nu) / gamma)
-
-
-def _s4d_coeffs_vjp(w, abar, s, g_abar, g_s, g) -> None:
-    # abar = exp(delta * a); s = (abar - 1) / a
-    a, delta = w.a_diag(), w.delta()
-    g_abar = g_abar + g_s * np.conj(1.0 / a)
-    gA = g_s * np.conj(-s / a)
-    gz = np.conj(abar) * g_abar
-    gA = gA + gz * delta
-    g["s4d.log_neg_a_re"] = -gA.real * np.exp(w.log_neg_a_re)
-    g["s4d.a_im"] = gA.imag.copy()
-    g["s4d.log_delta"] = (np.conj(a) * gz).real * delta
-
-
-_COEFFS_VJP = {"lru": _lru_coeffs_vjp, "s4d": _s4d_coeffs_vjp}
-
-
-def _backward_s6(model, cache, win, d_orec, g) -> np.ndarray:
-    w = model.weights("s6")
-    H, h0, u_seq = cache["H"], cache["h0"], cache["u_seq"]
-    zd, delta, abar = cache["zd"], cache["delta"], cache["abar"]
-    Bv, bbar, Cv, u_rep = cache["Bv"], cache["bbar"], cache["Cv"], cache["u_rep"]
-    a = w.a_diag()
-    B, L, _ = u_seq.shape
-
-    # lane-major like H, so the adjoint solve runs in place
-    d_orep = np.repeat(d_orec.transpose(0, 2, 1), 2, axis=1).transpose(0, 2, 1)
-    gCv = d_orep * H
-    gh_read = d_orep * Cv
-    g["s6.D"] = np.einsum("blu,blu->u", d_orec, u_seq)
-    d_useq = d_orec * w.D
-
-    g_pre, g_abar_t = scans.diag_scan_backward(gh_read, H, h0, abar)
-
-    g_bbar = g_pre * u_rep
-    d_useq = d_useq + (g_pre * bbar).reshape(B, L, SSM_IN, 2).sum(axis=3)
-
-    s = (abar - 1.0) / a
-    gBv = g_bbar * s
-    gs = g_bbar * Bv
-    g_abar_t = g_abar_t + gs / a
-    gA = (gs * (-(abar - 1.0) / a ** 2)).sum(axis=(0, 1))
-
-    gz = g_abar_t * abar
-    gA = gA + (gz * delta[..., None]).sum(axis=(0, 1))
-    g_delta = gz @ a
-    g_zd = g_delta * sigmoid(zd)
-    g["s6.W_delta"] = np.einsum("bl,blu->u", g_zd, u_seq)
-    g["s6.b_delta"] = np.array([g_zd.sum()])
-    d_useq = d_useq + g_zd[..., None] * w.W_delta
-
-    g["s6.W_B"] = np.einsum("blk,blu->ku", gBv, u_seq)
-    g["s6.b_B"] = gBv.sum(axis=(0, 1))
-    d_useq = d_useq + gBv @ w.W_B
-    g["s6.W_C"] = np.einsum("blk,blu->ku", gCv, u_seq)
-    g["s6.b_C"] = gCv.sum(axis=(0, 1))
-    d_useq = d_useq + gCv @ w.W_C
-
-    g["s6.log_neg_a"] = gA * a  # dA/d(log_neg_a) = -exp(.) = a
-    return d_useq
-
-
-_BACKWARD = {Model._scan_lstm_family: _backward_lstm_family,
-             Model._scan_diag_lti: _backward_diag_lti,
-             Model._scan_s6: _backward_s6}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +222,7 @@ def _stack_p(streams: list, cond_dim: int):
     return np.stack([s.p for s in streams])
 
 
-def evaluate_streams(model: Model, streams: list, segment_len: int = 65536):
+def evaluate_streams(model: Model, streams: list):
     """Streaming predictions with fresh state per stream.
 
     Streams of equal length are processed as one batch.  Returns
@@ -429,7 +240,7 @@ def evaluate_streams(model: Model, streams: list, segment_len: int = 65536):
         xs = np.stack([streams[i].x for i in idxs])
         ps = _stack_p([streams[i] for i in idxs], model.config.cond_dim)
         state = model.init_state(batch=len(idxs))
-        y, _ = model.forward_segment(state, xs, ps, chunk=segment_len)
+        y, _ = model.forward_segment(state, xs, ps)
         for row, i in enumerate(idxs):
             outputs[i] = y[row]
             d = streams[i].y - y[row]
@@ -548,8 +359,7 @@ def finite_difference_audit(model: Model, segment, target, p=None, eps: float = 
     state0 = model.init_state(batch=B)
 
     def loss_now() -> float:
-        y, _ = model._forward_full(state0, x, pn)
-        return loss_mse(t, y)
+        return loss_mse(t, model._forward_full(state0, x, pn)[0])
 
     _, grads, _ = backward_segment(model, state0, x, t, pn)
     rng = np.random.default_rng(seed)

@@ -214,6 +214,33 @@ def test_dataset_non_numeric_value_input_error(tmp_path, capsys, flag):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("duration", ["-1", "0", "0.05", "nan", "inf"])
+def test_dataset_bad_duration_input_error(tmp_path, capsys, duration):
+    out = tmp_path / "d"
+    code = run(["dataset", "--effect", "identity", "--duration", duration, "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+def test_benchmark_bad_seconds_input_error(tmp_path, capsys, seconds):
+    code = run(["benchmark", "--arch", "lru", "--seconds", seconds, "--out", str(tmp_path / "b")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_bad_lr_input_error(dataset_dir, tmp_path, capsys, lr):
+    code = run(["train", "--arch", "lstm", "--dataset", str(dataset_dir), "--composition", "1",
+                "--lr", lr, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "initial_lr" in err
+
+
 def test_dataset_unknown_fixed_name_input_error(tmp_path, capsys):
     out = tmp_path / "d"
     code = run(["dataset", "--effect", "waveshaper_overdrive", "--fix", "nosuch=1",

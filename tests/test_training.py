@@ -46,6 +46,13 @@ def test_lr_schedule_literal_formula():
     assert lr_at_epoch(cfg, 2) == pytest.approx(1.875e-5)
 
 
+@pytest.mark.parametrize("field", ["initial_lr", "decay_base", "clip_norm"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_train_config_rejects_nonpositive_or_nonfinite(field, value):
+    with pytest.raises(InputError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_lr_schedule_staged_default():
     cfg = TrainConfig()
     assert cfg.decay_mode == "staged"
@@ -76,13 +83,16 @@ def test_zero_weight_model_gradient_structure():
     assert grads["out.b"][0] == pytest.approx(2.0 * 0.5)
 
 
-@pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_gradients_match_finite_differences(arch):
+# with FiLM (ids as before) and without it ("-nofilm"), where the GLU
+# gradient passes straight to the post-FC
+@pytest.mark.parametrize("arch, cond_dim", [(a, c) for c in (2, 0) for a in ARCHITECTURES],
+                         ids=[a + ("" if c else "-nofilm") for c in (2, 0) for a in ARCHITECTURES])
+def test_gradients_match_finite_differences(arch, cond_dim):
     rng = np.random.default_rng(hash(arch) % 2 ** 31)
-    m = Model.init(ModelConfig(arch, cond_dim=2), seed=13)
+    m = Model.init(ModelConfig(arch, cond_dim=cond_dim), seed=13)
     x = rng.uniform(-0.9, 0.9, 64)
     t = rng.uniform(-0.9, 0.9, 64)
-    p = rng.uniform(0, 1, 2)
+    p = rng.uniform(0, 1, cond_dim) if cond_dim else None
     err, _ = finite_difference_audit(m, x, t, p, eps=1e-6)
     assert err < 1e-4, f"{arch}: max fd error {err:.3e}"
 
