@@ -10,13 +10,11 @@ and compared with rank-based significance tests.
 __version__ = "0.1.0"
 
 from .cells import (
+    diag_lti_step,
     ed_encode,
     ed_state_merge,
-    lru_step,
     lstm_step,
     project_input,
-    s4d_discretize,
-    s4d_step,
     s6_step,
 )
 from .data import (

@@ -8,9 +8,10 @@ linear-recurrence family), the recurrent layer updates its state, and a
 readout hands a small vector to the rest of the network.
 
 The functions here are the single-stream reference implementations: one
-step, 1-d arrays, no batching.  The batched segment paths in
-``statefx.model`` must agree with them bit-for-bit up to float rounding;
-the test suite enforces that equivalence.
+step, 1-d arrays, no batching.  LRU and S4D share ``diag_lti_step``: they
+differ only in ``coeffs()`` and in the field names their ``LTI`` attribute
+gives.  The batched segment paths in ``statefx.model`` must agree with
+them bit-for-bit up to float rounding; the test suite enforces that.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class LstmState:
     h: np.ndarray  # (8,)
     c: np.ndarray  # (8,)
 
-    def copy(self) -> "LstmState":
-        return LstmState(self.h.copy(), self.c.copy())
-
 
 def lstm_step(w: LstmWeights, state: LstmState, u: np.ndarray) -> tuple[LstmState, np.ndarray]:
     """One LSTM update.
@@ -148,6 +146,60 @@ def ed_state_merge(prev: LstmState, cand_h: np.ndarray, cand_c: np.ndarray) -> L
 
 
 # ---------------------------------------------------------------------------
+# Diagonal linear time-invariant layers (LRU, S4D)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DiagLti:
+    """Which weight fields play which role in one diagonal-LTI layer:
+
+        h_n = lam * h_{n-1} + (s * M) @ u_n + b,   o_n = Re(C @ h_n) + D * u_n + b_o
+
+    A weight class names its roles in a class attribute ``LTI``; its
+    ``coeffs()`` maps the per-channel parameters to (lam, s) and
+    ``coeffs_vjp()`` maps their gradients back.  M, C and b are complex,
+    stored as ``<name>_re``/``<name>_im``; a term the layer lacks is None.
+    """
+
+    M: str
+    C: str
+    b: str | None = None
+    b_o: str | None = None
+    D: str | None = None
+
+
+def complex_field(w, name: str) -> np.ndarray:
+    """The complex array ``w.<name>_re + i * w.<name>_im``."""
+    return getattr(w, name + "_re") + 1j * getattr(w, name + "_im")
+
+
+@dataclass
+class SsmState:
+    """State vector of a diagonal SSM: complex for LRU and S4D, real for S6."""
+
+    h: np.ndarray  # (12,)
+
+
+def diag_lti_step(w, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:
+    """One LRU or S4D update: the equations of ``DiagLti`` with (lam, s)
+    from ``w.coeffs()`` and the field names from ``w.LTI``."""
+    lti = w.LTI
+    M = complex_field(w, lti.M)
+    u = _check_vec("u", u, M.shape[1])
+    lam, s = w.coeffs()
+    pre = (s[:, None] * M) @ u
+    if lti.b:
+        pre += complex_field(w, lti.b)
+    h = lam * state.h + pre
+    o = np.real(complex_field(w, lti.C) @ h)
+    if lti.D:
+        o = o + getattr(w, lti.D) * u
+    if lti.b_o:
+        o = o + getattr(w, lti.b_o)
+    return SsmState(h), o
+
+
+# ---------------------------------------------------------------------------
 # LRU
 # ---------------------------------------------------------------------------
 
@@ -169,6 +221,8 @@ class LruWeights:
     W_re: np.ndarray    # (6, 12)
     W_im: np.ndarray    # (6, 12)
     b_o: np.ndarray     # (6,)
+
+    LTI = DiagLti(M="U", C="W", b="b", b_o="b_o")
 
     def lam(self) -> np.ndarray:
         return np.exp(-np.exp(self.nu) + 1j * self.theta)
@@ -197,27 +251,6 @@ class LruWeights:
             raise StabilityError("LRU recurrent multipliers must satisfy |lambda| < 1 (exp(nu) > 0)")
 
 
-@dataclass
-class LruState:
-    h: np.ndarray  # (12,) complex
-
-    def copy(self) -> "LruState":
-        return LruState(self.h.copy())
-
-
-def lru_step(w: LruWeights, state: LruState, u: np.ndarray) -> tuple[LruState, np.ndarray]:
-    """One linear recurrent unit update.
-
-    h_n = lambda * h_{n-1} + gamma * (U_h @ u) + b_h
-    o_n = Re(W_o @ h_n) + b_o
-    """
-    u = _check_vec("u", u, w.U_re.shape[1])
-    pre = w.gamma() * ((w.U_re + 1j * w.U_im) @ u) + (w.b_re + 1j * w.b_im)
-    h = w.lam() * state.h + pre
-    o = np.real((w.W_re + 1j * w.W_im) @ h) + w.b_o
-    return LruState(h), o
-
-
 # ---------------------------------------------------------------------------
 # S4D
 # ---------------------------------------------------------------------------
@@ -240,14 +273,13 @@ class S4dWeights:
     C_im: np.ndarray          # (6, 12)
     D: np.ndarray             # (6,)
 
+    LTI = DiagLti(M="B", C="C", D="D")
+
     def a_diag(self) -> np.ndarray:
         return -np.exp(self.log_neg_a_re) + 1j * self.a_im
 
     def delta(self) -> np.ndarray:
         return np.exp(self.log_delta)
-
-    def discretized(self) -> tuple[np.ndarray, np.ndarray]:
-        return s4d_discretize(self.a_diag(), self.B_re + 1j * self.B_im, self.delta())
 
     def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal-LTI coefficients (abar, s): bbar = s * B."""
@@ -273,16 +305,6 @@ class S4dWeights:
             raise StabilityError("S4D discretized multipliers must be finite")
 
 
-@dataclass
-class SsmState:
-    """State vector of a diagonal SSM: complex for S4D, real for S6."""
-
-    h: np.ndarray  # (12,)
-
-    def copy(self) -> "SsmState":
-        return SsmState(self.h.copy())
-
-
 def s4d_zoh(a_diag: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold multiplier and input scale of a diagonal continuous system.
 
@@ -292,30 +314,11 @@ def s4d_zoh(a_diag: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a_diag = np.asarray(a_diag, dtype=np.complex128)
     delta = np.asarray(delta, dtype=np.float64)
     if np.any(a_diag.real >= 0.0):
-        raise StabilityError("s4d_discretize needs Re(a_k) < 0 for every channel")
+        raise StabilityError("s4d_zoh needs Re(a_k) < 0 for every channel")
     if np.any(delta <= 0.0):
-        raise StabilityError("s4d_discretize needs delta > 0")
+        raise StabilityError("s4d_zoh needs delta > 0")
     abar = np.exp(delta * a_diag)
     return abar, (abar - 1.0) / a_diag
-
-
-def s4d_discretize(a_diag: np.ndarray, B: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order-hold discretization: abar_k = exp(delta_k a_k) and
-    bbar_kj = (abar_k - 1) / a_k * B_kj (see s4d_zoh)."""
-    abar, s = s4d_zoh(a_diag, delta)
-    return abar, s[:, None] * np.asarray(B, dtype=np.complex128)
-
-
-def s4d_step(w: S4dWeights, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:
-    """One discretized diagonal-SSM update.
-
-    h_n = abar * h_{n-1} + bbar @ u;  o_n = Re(C @ h_n) + D * u.
-    """
-    u = _check_vec("u", u, w.B_re.shape[1])
-    abar, bbar = w.discretized()
-    h = abar * state.h + bbar @ u
-    o = np.real((w.C_re + 1j * w.C_im) @ h) + w.D * u
-    return SsmState(h), o
 
 
 # ---------------------------------------------------------------------------

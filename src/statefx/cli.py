@@ -120,7 +120,6 @@ def _load_split(dataset_dir, composition: int):
 def cmd_train(args) -> int:
     started = time.time()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tcfg = training.TrainConfig(
         initial_lr=args.lr, max_epochs=args.max_epochs, patience=args.patience,
         segment_len=args.segment_len, batch_size=args.batch_size,
@@ -129,8 +128,8 @@ def cmd_train(args) -> int:
     cfg = ModelConfig(args.arch, cond_dim=meta["cond_dim"], sample_rate=meta["sample_rate"])
     model = Model.init(cfg, seed=args.seed)
     ckpt, history = training.train(model, training.TrainSplit(train_s, val_s), tcfg)
-    ckpt_path = out / "checkpoint.sfx"
-    ckpt.save(ckpt_path)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt.save(out / "checkpoint.sfx")
     history.write_csv(out / "history.csv")
     _write_manifest(out, "train", vars(args), args.seed, started,
                     ["checkpoint.sfx", "history.csv"])
@@ -147,7 +146,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint.load(args.checkpoint)
     model = ckpt.to_model()
     recs, meta, _, _, test_s = _load_split(args.dataset, args.composition)
@@ -160,6 +158,7 @@ def cmd_eval(args) -> int:
     rows = reports + [metrics.mean_report(reports, model=model.config.architecture,
                                           dataset=dataset_name)]
     csv_path = out / f"eval_{model.config.architecture}_comp{args.composition}.csv"
+    out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_csv(csv_path, rows)
     _write_manifest(out, "eval", vars(args), None, started, [csv_path.name])
     mean = rows[-1]
@@ -184,8 +183,8 @@ def _load_schedule(path, n_samples: int, cond_dim: int) -> np.ndarray:
                 values = [float(v) for v in row]
             except ValueError:
                 raise FormatError(f"{path}: non-numeric schedule row {row}") from None
-            if not np.all(np.isfinite(values)):
-                raise FormatError(f"{path}: non-finite schedule row {row}")
+            if not (np.all(np.isfinite(values)) and values[0] == int(values[0])):
+                raise FormatError(f"{path}: schedule row {row} needs finite values and a whole sample index")
             rows.append(values)
     if not rows:
         raise FormatError(f"{path}: empty conditioning schedule")

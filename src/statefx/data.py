@@ -506,6 +506,8 @@ def load_wav(path, sample_rate: int = DEFAULT_RATE) -> np.ndarray:
         samples = ints.astype(np.float64) / float(1 << 23)
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise FormatError(f"{path}: 32-bit float data holds NaN or infinite samples")
     return samples
 
 

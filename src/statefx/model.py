@@ -4,9 +4,9 @@ and the checkpoint format.
 
 Every architecture runs the same pipeline; what differs between them is
 stated once.  ``ARCH`` gives each one's weight groups, layer widths, state
-arrays and batched scan, and ``DIAG_LTI`` names the LRU and S4D weights as
-one diagonal-LTI layer.  Parameter names are ``"<prefix>.<field>"`` with
-the fields of the ``statefx.cells`` weight dataclasses.
+arrays and batched scan; LRU and S4D share one scan (see ``cells.DiagLti``).
+Parameter names are ``"<prefix>.<field>"`` with the fields of the
+``statefx.cells`` weight dataclasses.
 
 Two inference routes exist on purpose.  ``forward_sample`` composes the
 single-stream step functions from ``statefx.cells`` one sample at a time.
@@ -41,6 +41,7 @@ from .cells import (
     WINDOW_LEN,
     LstmState,
     SsmState,
+    complex_field,
     softplus,
 )
 from .errors import (
@@ -275,7 +276,7 @@ class Model:
     def check_stability(self) -> None:
         """Verify |multiplier| < 1 for the diagonal-LTI layers (LRU/S4D)."""
         arch = self.config.architecture
-        if arch in DIAG_LTI:
+        if arch in ("lru", "s4d"):
             self.weights(arch).validate()
 
     # -- state ----------------------------------------------------------------
@@ -349,8 +350,8 @@ class Model:
             st, o_rec = cells.lstm_step(self.weights("lstm"), st, u)
             new_state["h"], new_state["c"] = st.h[None, :], st.c[None, :]
         else:
-            step, step_state = _SSM_STEPS[arch]
-            st, o_rec = step(self.weights(arch), step_state(state["h"][0]), u)
+            step = cells.s6_step if arch == "s6" else cells.diag_lti_step
+            st, o_rec = step(self.weights(arch), SsmState(state["h"][0]), u)
             new_state["h"] = st.h[None, :]
 
         pre = self.params["post.W"] @ o_rec + self.params["post.b"]
@@ -514,34 +515,35 @@ class Model:
     # per-step arrays lane-major ((B, n, L) memory, seen through a transposed
     # view), so that scans.diag_scan solves in place and elementwise products
     # of those arrays stay lane-major too.  LRU and S4D share one diagonal-LTI
-    # layer (see DiagLti); only S6, whose coefficients vary per step, has its own.
+    # layer (see cells.DiagLti); only S6, whose coefficients vary per step, has its own.
 
     def _scan_diag_lti(self, state, u_seq, win):
-        prm = self.params
         arch = self.config.architecture
-        lti = DIAG_LTI[arch]
-        lam, s = self.weights(arch).coeffs()
-        M = prm[lti.M + "_re"] + 1j * prm[lti.M + "_im"]
+        w = self.weights(arch)
+        lti = w.LTI
+        lam, s = w.coeffs()
+        M = complex_field(w, lti.M)
         Bbar = s[:, None] * M
         pre = Bbar @ u_seq.transpose(0, 2, 1)
         if lti.b:
-            pre += (prm[lti.b + "_re"] + 1j * prm[lti.b + "_im"])[:, None]
+            pre += complex_field(w, lti.b)[:, None]
         H = scans.diag_scan(state["h"], lam, pre.transpose(0, 2, 1))
-        C = prm[lti.C + "_re"] + 1j * prm[lti.C + "_im"]
+        C = complex_field(w, lti.C)
         o_rec = np.real(H @ C.T)
         if lti.D:
-            o_rec = o_rec + prm[lti.D] * u_seq
+            o_rec = o_rec + getattr(w, lti.D) * u_seq
         if lti.b_o:
-            o_rec = o_rec + prm[lti.b_o]
+            o_rec = o_rec + getattr(w, lti.b_o)
 
         def pullback(d_orec, g):
+            gf = {}  # gradients keyed by the weight view's field names
             # o = Re(C h) + D * u + b_o
             gC = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
-            g[lti.C + "_re"], g[lti.C + "_im"] = gC.real.copy(), -gC.imag
+            gf[lti.C + "_re"], gf[lti.C + "_im"] = gC.real.copy(), -gC.imag
             if lti.b_o:
-                g[lti.b_o] = d_orec.sum(axis=(0, 1))
+                gf[lti.b_o] = d_orec.sum(axis=(0, 1))
             if lti.D:
-                g[lti.D] = np.einsum("blu,blu->u", d_orec, u_seq)
+                gf[lti.D] = np.einsum("blu,blu->u", d_orec, u_seq)
             # lane-major like H, so the adjoint solve runs in place
             gh_read = (np.conj(C).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
 
@@ -550,18 +552,18 @@ class Model:
             # pre = (s * M) @ u + b
             if lti.b:
                 gb = g_pre.sum(axis=(0, 1))
-                g[lti.b + "_re"], g[lti.b + "_im"] = gb.real.copy(), gb.imag.copy()
+                gf[lti.b + "_re"], gf[lti.b + "_im"] = gb.real.copy(), gb.imag.copy()
             g_Bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
             gM = np.conj(s)[:, None] * g_Bbar
-            g[lti.M + "_re"], g[lti.M + "_im"] = gM.real.copy(), gM.imag.copy()
+            gf[lti.M + "_re"], gf[lti.M + "_im"] = gM.real.copy(), gM.imag.copy()
             g_s = (np.conj(M) * g_Bbar).sum(axis=1)
             d_useq = (g_pre @ np.conj(Bbar)).real
             if lti.D:
-                d_useq = d_useq + d_orec * prm[lti.D]
+                d_useq = d_useq + d_orec * getattr(w, lti.D)
             # Keep numpy loops after the last complex matmul: they clear the AVX
             # upper state that slows the SSE-compiled einsums (see scans._solve).
-            vjp = self.weights(arch).coeffs_vjp(lam, s, g_lam, g_s)
-            g.update((f"{arch}.{k}", v) for k, v in vjp.items())
+            gf.update(w.coeffs_vjp(lam, s, g_lam, g_s))
+            g.update((f"{arch}.{k}", v) for k, v in gf.items())
             return d_useq
 
         return o_rec, {"h": H[:, -1].copy()}, pullback
@@ -693,34 +695,6 @@ def _view(prefix: str, init: Callable) -> tuple[type, tuple[str, ...]]:
 # runs on every streamed buffer.
 _VIEWS = {"proj": _view("proj", cells.init_projection)}
 _VIEWS.update((prefix, _view(prefix, init)) for spec in ARCH.values() for prefix, init in spec.groups)
-
-_SSM_STEPS = {"lru": (cells.lru_step, cells.LruState), "s4d": (cells.s4d_step, SsmState),
-              "s6": (cells.s6_step, SsmState)}
-
-
-@dataclass(frozen=True)
-class DiagLti:
-    """How LRU and S4D name their weights as one diagonal-LTI layer.
-
-        h_t = lam * h_{t-1} + (s * M) u_t + b,   o_t = Re(C h_t) + D * u_t + b_o
-
-    The key in ``DIAG_LTI`` is also the weight prefix; that cells view's
-    ``coeffs()`` maps its per-channel parameters to (lam, s), and
-    ``coeffs_vjp()`` maps their gradients back.  M, C and b are complex,
-    stored as ``<name>_re``/``<name>_im``; a term the layer lacks is None.
-    """
-
-    M: str
-    C: str
-    b: str | None = None
-    b_o: str | None = None
-    D: str | None = None
-
-
-DIAG_LTI = {
-    "lru": DiagLti(M="lru.U", C="lru.W", b="lru.b", b_o="lru.b_o"),
-    "s4d": DiagLti(M="s4d.B", C="s4d.C", D="s4d.D"),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from statefx import cells
 from statefx.cells import (
     EdEncoder,
-    LruState,
     LruWeights,
     LstmState,
     LstmWeights,
@@ -12,13 +11,12 @@ from statefx.cells import (
     S4dWeights,
     S6Weights,
     SsmState,
+    diag_lti_step,
     ed_encode,
     ed_state_merge,
-    lru_step,
     lstm_step,
     project_input,
-    s4d_discretize,
-    s4d_step,
+    s4d_zoh,
     s6_step,
 )
 from statefx.errors import DimensionError, NumericError, StabilityError
@@ -212,9 +210,9 @@ def test_lru_homogeneous_decay():
     w.b_re[:] = 0.0
     w.b_im[:] = 0.0
     v = RNG.normal(size=12) + 1j * RNG.normal(size=12)
-    st = LruState(v.copy())
+    st = SsmState(v.copy())
     for _ in range(5):
-        st, _ = lru_step(w, st, np.zeros(6))
+        st, _ = diag_lti_step(w, st, np.zeros(6))
     assert np.allclose(st.h, w.lam() ** 5 * v, rtol=1e-12)
 
 
@@ -222,8 +220,8 @@ def test_lru_memoryless_limit():
     w = random_lru(RNG)
     w.nu[:] = np.log(50.0)  # |lambda| = exp(-50): effectively zero memory
     u = RNG.normal(size=6)
-    st1, o1 = lru_step(w, LruState(np.zeros(12, dtype=complex)), u)
-    st2, o2 = lru_step(w, LruState(100.0 + 100.0j + np.zeros(12, dtype=complex)), u)
+    st1, o1 = diag_lti_step(w, SsmState(np.zeros(12, dtype=complex)), u)
+    st2, o2 = diag_lti_step(w, SsmState(100.0 + 100.0j + np.zeros(12, dtype=complex)), u)
     assert np.allclose(o1, o2, atol=1e-8)
 
 
@@ -232,12 +230,12 @@ def test_lru_matches_complex_loop_oracle_impulse_response():
     w = random_lru(rng)
     h = np.zeros(12, dtype=complex)
     h_ref = np.zeros(12, dtype=complex)
-    st = LruState(h)
+    st = SsmState(h)
     for n in range(100):
         u = np.zeros(6)
         if n == 0:
             u[:] = 1.0
-        st, o = lru_step(w, st, u)
+        st, o = diag_lti_step(w, st, u)
         h_ref, o_ref = oracles.lru_step_oracle(w.nu, w.theta, w.U_re, w.U_im, w.b_re,
                                                w.b_im, w.W_re, w.W_im, w.b_o, h_ref, u)
         assert np.max(np.abs(st.h - h_ref)) < 1e-10
@@ -260,32 +258,32 @@ def test_lru_stability_enforced_by_parameterization():
 def test_s4d_discretize_continuum_limit():
     a = np.full(12, -1.0 + 0.0j)
     B = np.ones((12, 6), dtype=complex)
-    abar, bbar = s4d_discretize(a, B, np.full(12, 1e-12))
+    abar, s = s4d_zoh(a, np.full(12, 1e-12))
+    bbar = s[:, None] * B
     assert np.allclose(abar, 1.0, atol=1e-9)
     assert np.all(np.abs(bbar) < 1e-11)
 
 
 def test_s4d_discretize_closed_form():
     a = np.full(12, -1.0 + 0.0j)
-    B = np.ones((12, 6), dtype=complex)
-    abar, _ = s4d_discretize(a, B, np.full(12, np.log(2.0)))
+    abar, _ = s4d_zoh(a, np.full(12, np.log(2.0)))
     assert np.allclose(abar, 0.5, rtol=1e-14)
 
 
 def test_s4d_discretize_stability():
     rng = np.random.default_rng(3)
     a = -np.exp(rng.normal(size=12)) + 1j * rng.normal(size=12) * 10
-    abar, _ = s4d_discretize(a, np.ones((12, 6), dtype=complex), np.exp(rng.uniform(-5, 0, 12)))
+    abar, _ = s4d_zoh(a, np.exp(rng.uniform(-5, 0, 12)))
     assert np.all(np.abs(abar) < 1.0)
     with pytest.raises(StabilityError):
-        s4d_discretize(np.array([1.0 + 0j]), np.ones((1, 1), dtype=complex), np.ones(1))
+        s4d_zoh(np.array([1.0 + 0j]), np.ones(1))
 
 
 def test_s4d_zero_trajectory():
     w = random_s4d(RNG)
     st = SsmState(np.zeros(12, dtype=complex))
     for _ in range(5):
-        st, o = s4d_step(w, st, np.zeros(6))
+        st, o = diag_lti_step(w, st, np.zeros(6))
     assert np.all(st.h == 0.0)
 
 
@@ -293,7 +291,8 @@ def test_s4d_impulse_matches_kernel_form():
     rng = np.random.default_rng(11)
     w = random_s4d(rng)
     w.D[:] = 0.0
-    abar, bbar = w.discretized()
+    abar, s = w.coeffs()
+    bbar = s[:, None] * (w.B_re + 1j * w.B_im)
     C = w.C_re + 1j * w.C_im
     st = SsmState(np.zeros(12, dtype=complex))
     impulse_channel = 2
@@ -302,7 +301,7 @@ def test_s4d_impulse_matches_kernel_form():
         u = np.zeros(6)
         if n == 0:
             u[impulse_channel] = 1.0
-        st, o = s4d_step(w, st, u)
+        st, o = diag_lti_step(w, st, u)
         outs.append(o)
     # kernel form: y_n = Re(C abar^n bbar[:, ch])
     for n in range(64):
@@ -316,7 +315,7 @@ def test_s4d_pure_feedthrough():
     w.C_im[:] = 0.0
     w.D[:] = 1.0
     u = RNG.normal(size=6)
-    _, o = s4d_step(w, SsmState(RNG.normal(size=12) + 0j), u)
+    _, o = diag_lti_step(w, SsmState(RNG.normal(size=12) + 0j), u)
     assert np.allclose(o, u, rtol=1e-14)
 
 
@@ -326,7 +325,7 @@ def test_s4d_matches_scalar_oracle():
         w = random_s4d(rng)
         h = rng.normal(size=12) + 1j * rng.normal(size=12)
         u = rng.normal(size=6)
-        st, o = s4d_step(w, SsmState(h.copy()), u)
+        st, o = diag_lti_step(w, SsmState(h.copy()), u)
         h_ref, o_ref = oracles.s4d_step_oracle(w.a_diag(), w.delta(),
                                                w.B_re + 1j * w.B_im, w.C_re + 1j * w.C_im,
                                                w.D, h, u)
@@ -421,7 +420,7 @@ def test_step_functions_match_oracles_1000(arch):
             w = random_lru(rng)
             h = rng.normal(size=12) + 1j * rng.normal(size=12)
             u = rng.normal(size=6)
-            st, o = lru_step(w, LruState(h.copy()), u)
+            st, o = diag_lti_step(w, SsmState(h.copy()), u)
             h_ref, o_ref = oracles.lru_step_oracle(w.nu, w.theta, w.U_re, w.U_im, w.b_re,
                                                    w.b_im, w.W_re, w.W_im, w.b_o, h, u)
             worst = max(worst, np.max(np.abs(st.h - h_ref)), np.max(np.abs(o - o_ref)))
@@ -429,7 +428,7 @@ def test_step_functions_match_oracles_1000(arch):
             w = random_s4d(rng)
             h = rng.normal(size=12) + 1j * rng.normal(size=12)
             u = rng.normal(size=6)
-            st, o = s4d_step(w, SsmState(h.copy()), u)
+            st, o = diag_lti_step(w, SsmState(h.copy()), u)
             h_ref, o_ref = oracles.s4d_step_oracle(w.a_diag(), w.delta(), w.B_re + 1j * w.B_im,
                                                    w.C_re + 1j * w.C_im, w.D, h, u)
             worst = max(worst, np.max(np.abs(st.h - h_ref)), np.max(np.abs(o - o_ref)))
@@ -449,3 +448,6 @@ def test_step_shape_errors():
         lstm_step(random_lstm(RNG), LstmState(np.zeros(8), np.zeros(8)), np.zeros(6))
     with pytest.raises(DimensionError):
         s6_step(random_s6(RNG), SsmState(np.zeros(12)), np.zeros(4))
+    for w in (random_lru(RNG), random_s4d(RNG)):
+        with pytest.raises(DimensionError):
+            diag_lti_step(w, SsmState(np.zeros(12, dtype=complex)), np.zeros(4))

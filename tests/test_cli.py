@@ -117,6 +117,7 @@ def test_eval_incompatible_checkpoint(dataset_dir, tmp_path):
     code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
                 "--composition", "1", "--out", str(tmp_path / "e")])
     assert code == cli.EXIT_INPUT
+    assert not (tmp_path / "e").exists()
 
 
 def _edit_header(path, edit):
@@ -195,7 +196,7 @@ def test_render_bad_params_input_error(tmp_path, capsys, params):
     assert not (tmp_path / "o.wav").exists()
 
 
-@pytest.mark.parametrize("row", ["0,abc,0.5", "0,nan,0.5", "inf,0.5,0.5"])
+@pytest.mark.parametrize("row", ["0,abc,0.5", "0,nan,0.5", "inf,0.5,0.5", "50.5,0.5,0.5"])
 def test_render_bad_schedule_cell_format_error(tmp_path, capsys, row):
     sched = tmp_path / "sched.csv"
     sched.write_text(f"sample,p0,p1\n{row}\n")
@@ -239,6 +240,7 @@ def test_train_bad_lr_input_error(dataset_dir, tmp_path, capsys, lr):
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "initial_lr" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dataset_unknown_fixed_name_input_error(tmp_path, capsys):

@@ -309,6 +309,16 @@ def test_wav_short_fmt_chunk_rejected(tmp_path):
         load_wav(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wav_float_nonfinite_rejected(tmp_path, bad):
+    x = RNG.uniform(-0.5, 0.5, 4800)
+    x[100] = bad
+    path = tmp_path / "bad.wav"
+    save_wav(path, x)
+    with pytest.raises(FormatError, match="bad.wav"):
+        load_wav(path)
+
+
 def test_wav_garbage_rejected(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"this is not audio at all")

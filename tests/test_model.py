@@ -128,49 +128,58 @@ def test_zero_input_zero_state_zero_bias_gives_zero(arch):
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_forward_sample_composition_matches_module_oracles(arch):
-    # fixed checkpoint, fixed window: compose the scalar-oracle pieces
+    # fixed checkpoint, fixed window: compose the scalar-oracle pieces, from
+    # the zero state and from a random carried one
     m = make_model(arch, cond_dim=2, seed=7)
     window = RNG.uniform(-1, 1, 64)
     p = np.array([0.2, 0.8])
-    y, _ = m.forward_sample(m.init_state(1), window, p)
+    carried = {k: v if k == "hist" else v + RNG.normal(size=v.shape)
+               for k, v in m.init_state(1).items()}
+    if arch in ("lru", "s4d"):
+        carried["h"] = carried["h"] + 1j * RNG.normal(size=(1, 12))
 
     prm = m.params
-    if arch in ("lstm", "ed"):
-        if arch == "ed":
-            u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window[:32])
-            ch, cc = oracles.ed_encode_oracle(prm["enc.kernel_h"], prm["enc.bias_h"][0],
-                                              prm["enc.kernel_c"], prm["enc.bias_c"][0],
-                                              window[32:])
-            h0, c0 = oracles.ed_merge_oracle(np.zeros(8), np.zeros(8), ch, cc)
+    for state in (m.init_state(1), carried):
+        y, new_state = m.forward_sample(state, window, p)
+        h_prev = state["h"][0]
+        if arch in ("lstm", "ed"):
+            c_prev = state["c"][0]
+            if arch == "ed":
+                u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window[:32])
+                ch, cc = oracles.ed_encode_oracle(prm["enc.kernel_h"], prm["enc.bias_h"][0],
+                                                  prm["enc.kernel_c"], prm["enc.bias_c"][0],
+                                                  window[32:])
+                h0, c0 = oracles.ed_merge_oracle(h_prev, c_prev, ch, cc)
+            else:
+                u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window)
+                h0, c0 = h_prev, c_prev
+            h, c = oracles.lstm_step_oracle(prm["lstm.W"], prm["lstm.U"], prm["lstm.b"], h0, c0, u)
+            assert np.max(np.abs(new_state["c"][0] - c)) < 1e-10
+            o_rec = h
+            post = oracles.matvec_oracle(prm["post.W"], o_rec) + prm["post.b"]
         else:
             u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window)
-            h0, c0 = np.zeros(8), np.zeros(8)
-        h, _ = oracles.lstm_step_oracle(prm["lstm.W"], prm["lstm.U"], prm["lstm.b"], h0, c0, u)
-        o_rec = h
-        post = oracles.matvec_oracle(prm["post.W"], o_rec) + prm["post.b"]
-    else:
-        u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window)
-        if arch == "lru":
-            _, o_rec = oracles.lru_step_oracle(prm["lru.nu"], prm["lru.theta"],
-                                               prm["lru.U_re"], prm["lru.U_im"],
-                                               prm["lru.b_re"], prm["lru.b_im"],
-                                               prm["lru.W_re"], prm["lru.W_im"],
-                                               prm["lru.b_o"], np.zeros(12, dtype=complex), u)
-        elif arch == "s4d":
-            w = m.weights("s4d")
-            _, o_rec = oracles.s4d_step_oracle(w.a_diag(), w.delta(), w.B_re + 1j * w.B_im,
-                                               w.C_re + 1j * w.C_im, w.D,
-                                               np.zeros(12, dtype=complex), u)
-        else:
-            _, o_rec = oracles.s6_step_oracle(prm["s6.log_neg_a"], prm["s6.W_delta"],
-                                              prm["s6.b_delta"][0], prm["s6.W_B"],
-                                              prm["s6.b_B"], prm["s6.W_C"], prm["s6.b_C"],
-                                              prm["s6.D"], np.zeros(12), u)
-        post = np.tanh(oracles.matvec_oracle(prm["post.W"], o_rec) + prm["post.b"])
-    oc = oracles.conditioning_oracle(prm["film.W"], prm["film.b"], prm["glu.W"],
-                                     prm["glu.b"], post, p)
-    y_ref = float(prm["out.W"] @ oc + prm["out.b"][0])
-    assert abs(y - y_ref) < 1e-10
+            if arch == "lru":
+                h, o_rec = oracles.lru_step_oracle(prm["lru.nu"], prm["lru.theta"],
+                                                   prm["lru.U_re"], prm["lru.U_im"],
+                                                   prm["lru.b_re"], prm["lru.b_im"],
+                                                   prm["lru.W_re"], prm["lru.W_im"],
+                                                   prm["lru.b_o"], h_prev, u)
+            elif arch == "s4d":
+                w = m.weights("s4d")
+                h, o_rec = oracles.s4d_step_oracle(w.a_diag(), w.delta(), w.B_re + 1j * w.B_im,
+                                                   w.C_re + 1j * w.C_im, w.D, h_prev, u)
+            else:
+                h, o_rec = oracles.s6_step_oracle(prm["s6.log_neg_a"], prm["s6.W_delta"],
+                                                  prm["s6.b_delta"][0], prm["s6.W_B"],
+                                                  prm["s6.b_B"], prm["s6.W_C"], prm["s6.b_C"],
+                                                  prm["s6.D"], h_prev, u)
+            post = np.tanh(oracles.matvec_oracle(prm["post.W"], o_rec) + prm["post.b"])
+        assert np.max(np.abs(new_state["h"][0] - h)) < 1e-10
+        oc = oracles.conditioning_oracle(prm["film.W"], prm["film.b"], prm["glu.W"],
+                                         prm["glu.b"], post, p)
+        y_ref = float(prm["out.W"] @ oc + prm["out.b"][0])
+        assert abs(y - y_ref) < 1e-10
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
