@@ -3,6 +3,7 @@ parameter normalization, split compositions, and WAV file I/O.
 
 The oracle effects are exactly-known causal DSP processes standing in for
 hardware devices, so every dataset here has bit-reproducible ground truth.
+Their IIR filters are banded solves, like the model's linear recurrences.
 Audio is mono float64 in [-1, 1] at 48 kHz unless stated otherwise.
 """
 
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import FormatError, InputError
+from .scans import linear_filter
 
 DEFAULT_RATE = 48000
 DEFAULT_DURATION = 45.0
@@ -181,7 +182,7 @@ def denormalize_params(effect: OracleEffect, normalized, labels=None) -> dict:
 
 def _one_pole_lp(x: np.ndarray, fc: float, fs: int) -> np.ndarray:
     a = 1.0 - np.exp(-2.0 * np.pi * fc / fs)
-    return lfilter([a], [1.0, -(1.0 - a)], x)
+    return linear_filter([a], [1.0, -(1.0 - a)], x)
 
 
 def _rbj_lowpass(fc: float, q: float, fs: int):
@@ -246,7 +247,7 @@ def apply_oracle(effect: OracleEffect, params_physical: dict, x: np.ndarray,
 
     if kind == "resonant_lowpass":
         b, a = _rbj_lowpass(params_physical["cutoff"], params_physical["resonance"], fs)
-        return lfilter(b, a, x)
+        return linear_filter(b, a, x)
 
     if kind == "feedforward_compressor":
         thr = params_physical["threshold_db"]
@@ -261,7 +262,7 @@ def apply_oracle(effect: OracleEffect, params_physical: dict, x: np.ndarray,
     if kind == "peaking_eq":
         b, a = _rbj_peaking(params_physical["freq"], params_physical["q"],
                             params_physical["gain_db"], fs)
-        return lfilter(b, a, x)
+        return linear_filter(b, a, x)
 
     raise InputError(f"unknown effect kind {kind!r}")
 

@@ -560,6 +560,8 @@ class Model:
             d_useq = (g_pre @ np.conj(Bbar)).real
             if lti.D:
                 d_useq = d_useq + d_orec * getattr(w, lti.D)
+            else:  # .real is a strided view, which the projection's einsum reads slowly
+                d_useq = np.ascontiguousarray(d_useq)
             # Keep numpy loops after the last complex matmul: they clear the AVX
             # upper state that slows the SSE-compiled einsums (see scans._solve).
             gf.update(w.coeffs_vjp(lam, s, g_lam, g_s))

@@ -1,15 +1,15 @@
-"""Recurrence scans: the gated LSTM/ED loops and the diagonal linear solve.
+"""Recurrence scans: the gated LSTM/ED loops and the banded linear solve.
 
 Only the stateful parts live here; everything batched across time
 (projections, readouts, conditioning) stays in vectorized numpy in the
 model and training modules.  The LSTM family steps one sample at a time
 and keeps only the hidden and cell sequences (H, C); its adjoint rebuilds
 every gate from them in batch, so its reverse loop carries only (d_h, d_c).
-The diagonal linear recurrences (the LRU/S4D diagonal-LTI layer with a
-constant multiplier, S6 with a per-step one) need no step loop: over all
-(batch, state) lanes, h_t = a_t*h_{t-1} + p_t is one unit lower-bidiagonal
-system (I - S(a)) h = p, solved by a single LAPACK banded triangular solve,
-and its reverse-time adjoint is the same band solved transposed.
+Every linear recurrence needs no step loop: over all lanes it is one unit
+lower-banded system (I - S) x = p, one LAPACK banded triangular solve.  The
+diagonal ones (LRU/S4D: constant multiplier; S6: per-step) are the bidiagonal
+case h_t = a_t*h_{t-1} + p_t, their adjoint the same band solved transposed;
+the IIR filters of the data oracles have one subdiagonal per feedback tap.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def lstm_backward(W, d_orec, zin, H, C, h0, c0, ch=None, cc=None):
 
 
 # ---------------------------------------------------------------------------
-# Diagonal linear scans (LRU / S4D: constant multiplier; S6: per-step multiplier)
+# Banded linear solves: the diagonal scans (LRU / S4D, S6) and the IIR filter
 # ---------------------------------------------------------------------------
 #
 # Arrays are shaped (B, L, n) but the solve wants lane-major memory, where
@@ -123,23 +123,26 @@ def _lane_major(x, dtype):
     return np.ascontiguousarray(x.transpose(0, 2, 1), dtype=dtype)
 
 
-def _solve(a_rest, rhs, trans):
-    """Solve (I - S(a)) x = rhs in place over all lanes of a (B, n, L) array.
+def _solve(mults, rhs, trans):
+    """Solve (I - S) x = rhs in place over all lanes of a (..., L) array.
 
-    S(a) puts a_t (t >= 1) on the subdiagonal within each lane; ``a_rest``
-    holds those multipliers, broadcastable to (B, n, L - 1).  The band is
-    built in LAPACK's Fortran layout, so no copy is made on the way in.
+    S is strictly lower banded within each lane: ``mults[k - 1]``, broadcastable to
+    (..., L - k), holds its k-th subdiagonal, the multipliers of x_{t-k} in x_t.
+    The band is built in LAPACK's Fortran layout, so no copy is made on the way in.
     """
-    band = np.empty(rhs.shape + (2,), rhs.dtype)   # row 0 (unit diagonal) is never read
-    np.negative(a_rest, out=band[..., :-1, 1])
-    band[..., -1, 1] = 0.0                         # lanes do not couple
+    kd = len(mults)
+    band = np.empty(rhs.shape + (kd + 1,), rhs.dtype)   # row 0 (unit diagonal) is never read
+    for k, m in enumerate(mults, 1):
+        cut = max(rhs.shape[-1] - k, 0)
+        np.negative(m, out=band[..., :cut, k])
+        band[..., cut:, k] = 0.0                       # lanes do not couple
     tbtrs = ztbtrs if rhs.dtype.kind == "c" else dtbtrs
     # A complex matmul (OpenBLAS zgemm) can leave the upper AVX register
     # state dirty; the SSE-compiled solve then ran ~18x slower on an AVX-512
     # Xeon (22 ms against 1.2 ms at B=3, L=2400).  A vectorized numpy loop
     # ends with vzeroupper, which clears that state.
     np.add(np.zeros(64), 0.0)
-    _, info = tbtrs(band.reshape(-1, 2).T, rhs.reshape(-1, 1), uplo="L", trans=trans,
+    _, info = tbtrs(band.reshape(-1, kd + 1).T, rhs.reshape(-1, 1), uplo="L", trans=trans,
                     diag="U", overwrite_b=1)
     if info != 0:
         raise NumericError(f"banded triangular solve failed (info={info})")
@@ -167,7 +170,7 @@ def diag_scan(h0, a, pre):
     a_0, a_rest = _lanes(a)
     P = _lane_major(pre, np.result_type(h0, a, pre))
     P[..., 0] += a_0 * h0
-    _solve(a_rest, P, "N")
+    _solve([a_rest], P, "N")
     return P.transpose(0, 2, 1)
 
 
@@ -181,7 +184,7 @@ def diag_scan_backward(gh_read, H, h0, a):
     otherwise.  Complex gradients are packed (dL/dRe + i dL/dIm).
     """
     G = _lane_major(gh_read, np.result_type(gh_read, H, a))
-    _solve(_lanes(a)[1], G, "C")
+    _solve([_lanes(a)[1]], G, "C")
     Hl = H.transpose(0, 2, 1)
     if a.ndim == 1:
         g_a = (np.einsum("bkt,bkt->k", G[..., 1:], np.conj(Hl[..., :-1]))
@@ -191,6 +194,20 @@ def diag_scan_backward(gh_read, H, h0, a):
     np.multiply(G[..., 1:], np.conj(Hl[..., :-1]), out=g_a[..., 1:])
     g_a[..., 0] = G[..., 0] * np.conj(h0)
     return G.transpose(0, 2, 1), g_a.transpose(0, 2, 1)
+
+
+def linear_filter(b, a, x):
+    """Filter ``x`` along its last axis by b(z)/a(z), with a[0] == 1, from rest.
+
+    Direct form I: shifted adds form w = b * x, then y_t = w_t - sum_k a_k y_{t-k}
+    is one band solve.  Equal to SciPy's lfilter (direct form II transposed) up to rounding.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = b[0] * x
+    for k in range(1, min(len(b), x.shape[-1])):
+        y[..., k:] += b[k] * x[..., :-k]
+    _solve([-ak for ak in a[1:]], y, "N")
+    return y
 
 
 # The benchmark tracer wraps these names; S6 runs through diag_scan above.

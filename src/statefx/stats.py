@@ -14,11 +14,11 @@ References: M. Friedman, JASA 32 (1937); F. Wilcoxon, Biometrics Bull. 1
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
 
 from .errors import InputError
 
@@ -49,7 +49,22 @@ def _avg_ranks(row: np.ndarray) -> np.ndarray:
 
 
 def _chi2_sf(x: float, df: int) -> float:
-    return float(gammaincc(df / 2.0, x / 2.0))
+    """Chi-square upper tail for integer ``df``: Q(df/2, x/2) by its finite series,
+    exp(-y) y^j / Gamma(j + 1) over j < df/2 for even df, and erfc(sqrt(y)) plus the
+    same over half-integer j for odd df, with y = x/2.  All terms are positive."""
+    y, d = x / 2.0, (1.5 if df % 2 else 1.0)
+    total = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if df % 2 else 1.0)
+    for _ in range(df // 2):
+        total += term
+        term *= y / d
+        d += 1.0
+    return total
+
+
+def _normal_two_sided(z: float) -> float:
+    """P(|Z| >= |z|) for a standard normal Z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def _friedman_exact_p(ranks2: np.ndarray, t2_obs: int) -> float:
@@ -169,7 +184,7 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> TestResult:
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float(((tie_counts ** 3 - tie_counts)).sum()) / 48.0
     diff = w_plus - mu
     z = (diff - 0.5 * np.sign(diff)) / np.sqrt(var)
-    return TestResult(w_plus, float(min(1.0, 2.0 * ndtr(-abs(z)))), "normal")
+    return TestResult(w_plus, min(1.0, _normal_two_sided(z)), "normal")
 
 
 # ---------------------------------------------------------------------------

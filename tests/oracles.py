@@ -305,3 +305,18 @@ def _rank_row(row):
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def compressor_oracle(x, fs, threshold_db, ratio, attack_ms, release_s):
+    """Feed-forward compressor: a peak envelope with attack/release
+    smoothing, one step per sample, then a static gain curve in dB."""
+    a_att = 1.0 - np.exp(-1.0 / (fs * attack_ms / 1000.0))
+    a_rel = 1.0 - np.exp(-1.0 / (fs * release_s))
+    env = np.empty(len(x))
+    e = 0.0
+    for i, v in enumerate(np.abs(x)):
+        e = e + (a_att if v > e else a_rel) * (v - e)
+        env[i] = e
+    env_db = 20.0 * np.log10(np.maximum(env, 1e-6))
+    gain_db = np.minimum(0.0, (threshold_db - env_db) * (1.0 - 1.0 / ratio))
+    return x * 10.0 ** (gain_db / 20.0)

@@ -22,6 +22,8 @@ from statefx.data import (
 from statefx.errors import FormatError, InputError
 from statefx.numerics import stft_mag
 
+from oracles import compressor_oracle
+
 RNG = np.random.default_rng(5)
 FS = 48000
 
@@ -72,6 +74,16 @@ def test_identity_oracle_exact():
     x = RNG.uniform(-1, 1, 10000)
     y = apply_oracle(get_effect("identity"), {}, x)
     assert np.array_equal(y, x)
+
+
+@pytest.mark.parametrize("params", [
+    {"threshold_db": -20.0, "ratio": 4.0, "attack_ms": 5.0, "release_s": 0.005},
+    {"threshold_db": -40.0, "ratio": 10.0, "attack_ms": 300.0, "release_s": 10.0},
+])
+def test_compressor_oracle_exact(params):
+    x = RNG.uniform(-1, 1, 10000)
+    y = apply_oracle(get_effect("feedforward_compressor"), params, x)
+    assert np.array_equal(y, compressor_oracle(x, FS, **params))
 
 
 def test_waveshaper_small_drive_linear_regime():

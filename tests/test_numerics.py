@@ -13,6 +13,27 @@ def test_activation_fixed_points():
     assert softsign(0.0) == 0.0
 
 
+def masked_sigmoid(x):
+    """The two-branch form: 1/(1 + e^-x) where x >= 0, e^x/(1 + e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_match_masked_form():
+    special = np.array([0.0, 710.0, 745.0, 1e-320, np.inf])
+    inputs = [np.concatenate([special, -special])]
+    rng = np.random.default_rng(3)
+    inputs += [rng.normal(scale=scale, size=1 << 20) for scale in (1.0, 10.0, 100.0, 1000.0)]
+    for x in inputs:
+        assert np.array_equal(sigmoid(x).view(np.int64), masked_sigmoid(x).view(np.int64))
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+    assert np.isnan(sigmoid(np.nan))
+
+
 def test_activation_softsign_values():
     assert softsign(1.0) == pytest.approx(0.5)
     assert softsign(-3.0) == pytest.approx(-0.75)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
-from statefx.scans import diag_scan, diag_scan_backward
+from statefx.data import _rbj_lowpass, _rbj_peaking
+from statefx.scans import diag_scan, diag_scan_backward, linear_filter
 
 EPS = np.finfo(np.float64).eps
 
@@ -118,3 +120,37 @@ def test_scan_overwrites_lane_major_input_only(cplx):
     H2 = diag_scan(h0, a, lane_major)
     assert np.shares_memory(H2, lane_major)
     np.testing.assert_array_equal(H2, H)
+
+
+# ---------------------------------------------------------------------------
+# IIR filter: the oracle effects' filters against scipy.signal.lfilter
+# ---------------------------------------------------------------------------
+
+FS = 48000
+
+
+def one_pole(fc):
+    a = 1.0 - np.exp(-2.0 * np.pi * fc / FS)
+    return [a], [1.0, -(1.0 - a)]
+
+
+# the corners of resonant_lowpass and peaking_eq, and the one-pole tones
+ORACLE_FILTERS = (
+    [pytest.param(*_rbj_lowpass(fc, q, FS), id=f"lowpass-{fc:g}-q{q:g}")
+     for fc in (60.0, 23990.0) for q in (0.5, 8.0)]
+    + [pytest.param(*_rbj_peaking(f, q, g, FS), id=f"peaking-{f:g}-{g:+g}dB-q{q:g}")
+       for f in (100.0, 10000.0) for g in (-12.0, 12.0) for q in (0.5, 4.0)]
+    + [pytest.param(*one_pole(fc), id=f"one_pole-{fc:g}") for fc in (500.0, 2000.0, 20000.0)])
+
+
+@pytest.mark.parametrize("b,a", ORACLE_FILTERS)
+def test_linear_filter_matches_lfilter(b, a):
+    x = np.random.default_rng(9).uniform(-1.0, 1.0, 48000)
+    for n in (0, 1, 2, 48000):
+        y, ref = linear_filter(b, a, x[:n]), lfilter(b, a, x[:n])
+        assert y.shape == ref.shape
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-9 * np.abs(ref).max(initial=0.0))
+    # lanes along the last axis stay apart: each row is filtered from rest
+    X = x[:3000].reshape(3, 1000)
+    ref = lfilter(b, a, X)
+    np.testing.assert_allclose(linear_filter(b, a, X), ref, rtol=0, atol=1e-9 * np.abs(ref).max())

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.stats as scipy_stats
+from scipy.special import gammaincc, ndtr
 
 from statefx.errors import InputError
 from statefx.stats import (
+    _chi2_sf,
+    _normal_two_sided,
     compare_models,
     friedman_test,
     score_matrix,
@@ -218,3 +221,20 @@ def test_compare_models_full():
     out = compare_models(rows)
     assert out["friedman"] is not None
     assert len(out["pairwise"]) == 10
+
+
+# ---------------------------------------------------------------------------
+# tail probabilities
+# ---------------------------------------------------------------------------
+
+def test_chi2_sf_matches_scipy():
+    for df in range(1, 31):
+        for x in np.linspace(0.0, 300.0, 601):
+            ref = gammaincc(df / 2.0, x / 2.0)
+            assert _chi2_sf(x, df) == pytest.approx(ref, rel=1e-12, abs=0.0), (df, x)
+
+
+def test_normal_two_sided_matches_scipy():
+    for z in np.linspace(-37.0, 37.0, 1481):
+        ref = 2.0 * ndtr(-abs(z))
+        assert _normal_two_sided(z) == pytest.approx(ref, rel=1e-12, abs=0.0), z
