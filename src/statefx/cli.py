@@ -161,10 +161,8 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_csv(csv_path, rows)
     _write_manifest(out, "eval", vars(args), None, started, [csv_path.name])
-    mean = rows[-1]
-    print(f"{model.config.architecture} on {dataset_name} comp{args.composition}: "
-          f"mse {mean.mse:.3e}  esr {mean.esr:.3e}  nrmse {mean.nrmse:.3e}  "
-          f"m_sf {mean.m_sf:.3e}  m_stft {mean.m_stft:.3e}")
+    summary = "  ".join(f"{m} {getattr(rows[-1], m):.3e}" for m in metrics.METRICS)
+    print(f"{model.config.architecture} on {dataset_name} comp{args.composition}: {summary}")
     return EXIT_OK
 
 
@@ -284,9 +282,6 @@ def cmd_benchmark(args) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-METRIC_COLUMNS = ("mse", "esr", "nrmse", "m_sf", "m_stft")
-
-
 def cmd_compare(args) -> int:
     started = time.time()
     paths = sorted(set(p for pat in args.eval_csv for p in globmod.glob(pat)))
@@ -298,7 +293,7 @@ def cmd_compare(args) -> int:
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         try:
-            mean_rows = [(r["dataset"], r["model"], [float(r[m]) for m in METRIC_COLUMNS])
+            mean_rows = [(r["dataset"], r["model"], [float(r[m]) for m in metrics.METRICS])
                          for r in rows if r["split"] == "mean"]
         except KeyError as e:
             raise FormatError(f"{path}: missing column {e}; not an eval CSV?") from None
@@ -307,7 +302,7 @@ def cmd_compare(args) -> int:
         if not mean_rows:
             raise FormatError(f"{path}: no mean row; not an eval CSV?")
         for dataset, model, values in mean_rows:
-            for metric, v in zip(METRIC_COLUMNS, values):
+            for metric, v in zip(metrics.METRICS, values):
                 cells.setdefault((dataset, metric), {}).setdefault(model, []).append(v)
 
     out = Path(args.out)

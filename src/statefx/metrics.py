@@ -1,5 +1,8 @@
 """Evaluation metrics: MSE, ESR, NRMSE, spectral flux, multi-resolution STFT.
 
+``METRICS`` maps each reported metric's name to its function in CSV column
+order; reports, their CSV rows and the CLI's comparison columns follow it.
+
 The two spectral metrics compare target y against prediction y_hat through
 Hann-windowed magnitude STFTs.  Both normalize by the target, so neither is
 symmetric in its arguments; that is deliberate.  Denominators and log
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,53 +103,48 @@ def multires_stft_metric(y, y_hat, windows=MULTIRES_WINDOWS) -> float:
 
 def rms_energy_track(y, window: int = 4096, overlap: float = 0.75) -> np.ndarray:
     """Per-frame RMS with the given window and fractional overlap."""
-    y = np.asarray(y, dtype=np.float64)
     hop = max(1, int(round(window * (1.0 - overlap))))
-    frames = frame_signal(y, window, hop)
+    frames = frame_signal(np.asarray(y, dtype=np.float64), window, hop)
     return np.sqrt(np.mean(frames ** 2, axis=1))
 
 
 def spectrogram_report(y, window: int = 2048, overlap: float = 0.25) -> Spectrogram:
     """Hann magnitude spectrogram for visualization export."""
     hop = max(1, int(round(window * (1.0 - overlap))))
-    return stft_mag(np.asarray(y, dtype=np.float64), window, hop)
+    return stft_mag(y, window, hop)
+
+
+METRICS = {"mse": mse, "esr": esr, "nrmse": nrmse, "m_sf": spectral_flux_metric,
+           "m_stft": multires_stft_metric}
 
 
 @dataclass
 class MetricReport:
-    """All metric values for one model on one signal pair, plus provenance."""
+    """All metric values for one model on one signal pair, plus provenance.
+    The float fields are the keys of ``METRICS``, in order."""
 
     mse: float
     esr: float
     nrmse: float
     m_sf: float
     m_stft: float
-    window: str = "hann"
-    sf_window: int = SF_WINDOW
-    sf_hop: int = SF_HOP
-    resolutions: tuple = MULTIRES_WINDOWS
     model: str = ""
     dataset: str = ""
     split: str = ""
-
-    CSV_FIELDS = ("model", "dataset", "split", "mse", "esr", "nrmse", "m_sf", "m_stft")
+    window: ClassVar[str] = "hann"
+    sf_window: ClassVar[int] = SF_WINDOW
+    sf_hop: ClassVar[int] = SF_HOP
+    resolutions: ClassVar[tuple] = MULTIRES_WINDOWS
+    CSV_FIELDS: ClassVar[tuple] = ("model", "dataset", "split", *METRICS)
 
     def csv_row(self) -> list:
-        return [self.model, self.dataset, self.split,
-                f"{self.mse:.9e}", f"{self.esr:.9e}", f"{self.nrmse:.9e}",
-                f"{self.m_sf:.9e}", f"{self.m_stft:.9e}"]
+        return [self.model, self.dataset, self.split, *(f"{getattr(self, m):.9e}" for m in METRICS)]
 
 
 def compute_report(y, y_hat, model: str = "", dataset: str = "", split: str = "") -> MetricReport:
     """Evaluate every metric on one target/prediction pair."""
-    return MetricReport(
-        mse=mse(y, y_hat),
-        esr=esr(y, y_hat),
-        nrmse=nrmse(y, y_hat),
-        m_sf=spectral_flux_metric(y, y_hat),
-        m_stft=multires_stft_metric(y, y_hat),
-        model=model, dataset=dataset, split=split,
-    )
+    return MetricReport(*(f(y, y_hat) for f in METRICS.values()),
+                        model=model, dataset=dataset, split=split)
 
 
 def write_report_csv(path, reports: list) -> None:
@@ -160,13 +159,6 @@ def mean_report(reports: list, model: str = "", dataset: str = "") -> MetricRepo
     """Arithmetic mean of each metric across reports (the summary row)."""
     if not reports:
         raise InputError("mean_report needs at least one report")
-    return MetricReport(
-        mse=float(np.mean([r.mse for r in reports])),
-        esr=float(np.mean([r.esr for r in reports])),
-        nrmse=float(np.mean([r.nrmse for r in reports])),
-        m_sf=float(np.mean([r.m_sf for r in reports])),
-        m_stft=float(np.mean([r.m_stft for r in reports])),
-        model=model or reports[0].model,
-        dataset=dataset or reports[0].dataset,
-        split="mean",
-    )
+    return MetricReport(*(float(np.mean([getattr(r, m) for r in reports])) for m in METRICS),
+                        model=model or reports[0].model, dataset=dataset or reports[0].dataset,
+                        split="mean")

@@ -76,7 +76,8 @@ def frame_signal(signal: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     """Slice a 1-d signal into (frames, window_size) rows, no padding.
 
     Frame count is floor((len - window_size) / hop) + 1; a signal shorter
-    than one window raises InputError.
+    than one window raises InputError.  The rows are a read-only strided
+    view of ``signal``, not a copy.
     """
     signal = np.asarray(signal)
     if signal.ndim != 1:
@@ -84,9 +85,7 @@ def frame_signal(signal: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     n = signal.shape[0]
     if n < window_size:
         raise InputError(f"signal of {n} samples is shorter than one {window_size}-sample window")
-    n_frames = (n - window_size) // hop + 1
-    idx = np.arange(window_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return signal[idx]
+    return np.lib.stride_tricks.sliding_window_view(signal, window_size)[::hop]
 
 
 def stft_mag(signal: np.ndarray, window_size: int, hop: int, window: str = "hann") -> Spectrogram:
@@ -97,7 +96,7 @@ def stft_mag(signal: np.ndarray, window_size: int, hop: int, window: str = "hann
     "hann" is the default used by every metric in this package,
     "rectangular" applies no taper.
     """
-    frames = frame_signal(signal, window_size, hop).astype(np.float64)
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), window_size, hop)
     if window == "hann":
         frames = frames * hann_window(window_size)
     elif window != "rectangular":

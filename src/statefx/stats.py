@@ -35,30 +35,22 @@ class TestResult(NamedTuple):
 
 def _avg_ranks(row: np.ndarray) -> np.ndarray:
     """Ranks 1..k with ties sharing their average rank."""
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(len(row))
-    i = 0
-    sorted_vals = row[order]
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(row, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _chi2_sf(x: float, df: int) -> float:
     """Chi-square upper tail for integer ``df``: Q(df/2, x/2) by its finite series,
     exp(-y) y^j / Gamma(j + 1) over j < df/2 for even df, and erfc(sqrt(y)) plus the
-    same over half-integer j for odd df, with y = x/2.  All terms are positive."""
-    y, d = x / 2.0, (1.5 if df % 2 else 1.0)
+    same over half-integer j for odd df, with y = x/2.  All terms are positive; each
+    is formed in log space, so a large x does not underflow the first term to 0."""
+    y, j = x / 2.0, (0.5 if df % 2 else 0.0)
+    if y == 0.0:
+        return 1.0
     total = math.erfc(math.sqrt(y)) if df % 2 else 0.0
-    term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if df % 2 else 1.0)
     for _ in range(df // 2):
-        total += term
-        term *= y / d
-        d += 1.0
+        total += math.exp(j * math.log(y) - y - math.lgamma(j + 1.0))
+        j += 1.0
     return total
 
 
@@ -160,6 +152,8 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> TestResult:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError("wilcoxon_signed_rank needs two equal-length 1-d samples")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InputError("paired samples hold non-finite entries")
     if method not in ("auto", "exact", "approx"):
         raise InputError(f"unknown method {method!r}")
     d = a - b

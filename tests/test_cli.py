@@ -196,13 +196,36 @@ def test_render_bad_params_input_error(tmp_path, capsys, params):
     assert not (tmp_path / "o.wav").exists()
 
 
-@pytest.mark.parametrize("row", ["0,abc,0.5", "0,nan,0.5", "inf,0.5,0.5", "50.5,0.5,0.5"])
+@pytest.mark.parametrize("row", ["0,abc,0.5", "0,nan,0.5", "inf,0.5,0.5", "50.5,0.5,0.5",
+                                 "", "0,0.5"])
 def test_render_bad_schedule_cell_format_error(tmp_path, capsys, row):
     sched = tmp_path / "sched.csv"
     sched.write_text(f"sample,p0,p1\n{row}\n")
     assert run(_render_inputs(tmp_path) + ["--params-csv", str(sched)]) == cli.EXIT_FORMAT
     err = capsys.readouterr().err
     assert err.startswith("format error:") and str(sched) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows, what", [("0,0.5,0.5\n1000,0.1,0.1", "outside signal"),
+                                        ("10,0.5,0.5", "start at sample 0")])
+def test_render_bad_schedule_span_input_error(tmp_path, capsys, rows, what):
+    # the input WAV holds 1000 samples
+    sched = tmp_path / "sched.csv"
+    sched.write_text(f"sample,p0,p1\n{rows}\n")
+    assert run(_render_inputs(tmp_path) + ["--params-csv", str(sched)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(sched) in err and what in err
+    assert "Traceback" not in err and not (tmp_path / "o.wav").exists()
+
+
+def test_render_missing_checkpoint_file_error(tmp_path, capsys):
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
+    code = run(["render", "--checkpoint", str(tmp_path / "missing.sfx"), "--input", str(wav_in),
+                "--params", "0.5", "--out", str(tmp_path / "o.wav")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and "missing.sfx" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", [["--vary", "drive=abc"], ["--vary", "drive=nan"],
@@ -241,6 +264,16 @@ def test_train_bad_lr_input_error(dataset_dir, tmp_path, capsys, lr):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "initial_lr" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_train_divergence_numeric_error(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run(["train", "--arch", "lru", "--dataset", str(dataset_dir), "--composition", "1",
+                "--lr", "1e300", "--max-epochs", "2", "--batch-size", "2", "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-finite loss") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_dataset_unknown_fixed_name_input_error(tmp_path, capsys):
@@ -355,6 +388,18 @@ def test_compare_two_models_skips_friedman(tmp_path):
     rows = list(csv.DictReader(open(out / "compare_friedman.csv")))
     assert all("fewer than 3 models" in r["note"] for r in rows)
     assert all(r["friedman_p"] == "" for r in rows)
+
+
+def test_compare_nonfinite_metric_input_error(tmp_path, capsys):
+    # two models: no Friedman test runs, so the Wilcoxon test meets the NaN
+    for comp in range(5):
+        _fake_eval_csv(tmp_path / f"eval_aaa_c{comp}.csv", "aaa", "fx",
+                       float("nan") if comp == 2 else float(RNG.uniform(0.1, 1.0)))
+        _fake_eval_csv(tmp_path / f"eval_bbb_c{comp}.csv", "bbb", "fx", float(RNG.uniform(0.1, 1.0)))
+    code = run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(tmp_path / "c")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
 
 
 def test_compare_ragged_inputs_error(tmp_path):

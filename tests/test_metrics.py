@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from statefx.errors import InputError, MetricUndefinedError
 from statefx.metrics import (
+    METRICS,
     MetricReport,
     compute_report,
     esr,
@@ -190,3 +193,13 @@ def test_report_csv_round_trip(tmp_path):
     assert float(parsed[0]["esr"]) == pytest.approx(reps[0].esr, rel=1e-6)
     mean_esr = np.mean([r.esr for r in reps])
     assert float(parsed[-1]["esr"]) == pytest.approx(mean_esr, rel=1e-6)
+
+
+def test_metric_report_float_fields_are_the_metric_table():
+    # the one place the metric names appear twice: report fields and METRICS
+    assert tuple(f.name for f in fields(MetricReport) if f.type in (float, "float")) == tuple(METRICS)
+    assert tuple(f.name for f in fields(MetricReport)) == (*METRICS, "model", "dataset", "split")
+    assert MetricReport.CSV_FIELDS == ("model", "dataset", "split", *METRICS)
+    y = RNG.normal(size=8192)
+    rep = compute_report(y, 0.5 * y, model="lru")
+    assert [getattr(rep, m) for m in METRICS] == [f(y, 0.5 * y) for f in METRICS.values()]

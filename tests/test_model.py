@@ -403,3 +403,19 @@ def test_scheduled_conditioning_matches_constant():
     y1, _ = m.forward_segment(m.init_state(1), x, pconst)
     y2, _ = m.forward_segment(m.init_state(1), x, sched)
     assert np.max(np.abs(y1 - y2)) < 1e-15
+
+
+@pytest.mark.parametrize("arch", ["lstm", "s6"])
+def test_batched_scheduled_conditioning_matches_single_streams(arch):
+    m = make_model(arch, cond_dim=2, seed=3)
+    L = 700
+    x = RNG.uniform(-1, 1, (2, L))
+    sched = np.empty((2, L, 2))
+    sched[0] = [0.2, 0.9]
+    sched[0, 300:] = [0.7, 0.1]
+    sched[1] = RNG.uniform(0, 1, (L, 2))
+    y, _ = m.forward_segment(m.init_state(2), x, sched)
+    assert y.shape == (2, L)
+    for b in range(2):
+        y_b, _ = m.forward_segment(m.init_state(1), x[b], sched[b])
+        assert np.max(np.abs(y[b] - y_b)) < 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statefx.errors import DimensionError, InputError
-from statefx.numerics import Spectrogram, sigmoid, softsign, stft_mag
+from statefx.numerics import Spectrogram, frame_signal, sigmoid, softsign, stft_mag
 
 from oracles import dft_direct, stft_mag_oracle
 
@@ -114,3 +114,17 @@ def test_stft_frame_count_formula():
     x = np.zeros(10240)
     spec = stft_mag(x, 2048, 512)
     assert spec.frames == (10240 - 2048) // 512 + 1
+
+
+@pytest.mark.parametrize("n, window, hop", [(1000, 64, 16), (1000, 64, 64), (1000, 100, 150),
+                                            (64, 64, 5), (4097, 300, 7)])
+def test_frame_signal_is_read_only_view_of_gathered_rows(n, window, hop):
+    x = np.random.default_rng(n).normal(size=n)
+    frames = frame_signal(x, window, hop)
+    starts = np.arange(0, n - window + 1, hop)
+    assert np.array_equal(frames, np.stack([x[s:s + window] for s in starts]))
+    assert np.shares_memory(frames, x) and not frames.flags.writeable
+    with pytest.raises(InputError):
+        frame_signal(x, n + 1, hop)
+    with pytest.raises(DimensionError):
+        frame_signal(x.reshape(1, -1), window, hop)

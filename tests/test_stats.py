@@ -5,6 +5,7 @@ from scipy.special import gammaincc, ndtr
 
 from statefx.errors import InputError
 from statefx.stats import (
+    _avg_ranks,
     _chi2_sf,
     _normal_two_sided,
     compare_models,
@@ -194,10 +195,29 @@ def test_wilcoxon_monotone_transform_invariance():
     assert res.p_value == base.p_value
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wilcoxon_rejects_nonfinite_samples(bad):
+    a = RNG.uniform(0.5, 3.0, size=9)
+    b = RNG.uniform(0.5, 3.0, size=9)
+    a_bad = a.copy()
+    a_bad[4] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        wilcoxon_signed_rank(a_bad, b)
+    with pytest.raises(InputError, match="non-finite"):
+        wilcoxon_signed_rank(b, a_bad)
+
+
 def test_wilcoxon_too_few_nonzero():
     a = np.array([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(InputError):
         wilcoxon_signed_rank(a, np.zeros(4))
+
+
+def test_avg_ranks_match_loop_oracle():
+    for i in range(300):
+        k = int(RNG.integers(1, 30))
+        row = RNG.integers(0, 5, size=k).astype(np.float64) if i % 2 else RNG.normal(size=k)
+        assert np.array_equal(_avg_ranks(row), oracles._rank_row(row)), row
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +252,19 @@ def test_chi2_sf_matches_scipy():
         for x in np.linspace(0.0, 300.0, 601):
             ref = gammaincc(df / 2.0, x / 2.0)
             assert _chi2_sf(x, df) == pytest.approx(ref, rel=1e-12, abs=0.0), (df, x)
+
+
+def test_chi2_sf_large_statistic_matches_scipy():
+    # past x = 1416 the series' first factor exp(-x/2) is subnormal, so the
+    # terms must be formed in log space to keep their relative precision
+    checked = 0
+    for df in (1, 2, 3, 10, 99, 100, 250, 500, 501, 750, 999, 1000):
+        for x in np.linspace(1400.0, 3000.0, 17):
+            ref = gammaincc(df / 2.0, x / 2.0)
+            if ref > 1e-290:
+                assert _chi2_sf(x, df) == pytest.approx(ref, rel=1e-11, abs=0.0), (df, x)
+                checked += 1
+    assert checked > 50
 
 
 def test_normal_two_sided_matches_scipy():

@@ -301,6 +301,22 @@ def test_instability_during_training_keeps_history():
     assert "finite" in str(exc.value)
 
 
+def test_numeric_error_during_training_keeps_history():
+    m = Model.init(ModelConfig("lru", cond_dim=0), seed=0)
+
+    def blow_up(epoch, model, hist):
+        if epoch == 0:
+            model.params["out.b"][:] = 1e200  # squared error overflows to inf
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(m, _identity_split(), TrainConfig(max_epochs=3, batch_size=2, seed=0),
+              epoch_callback=blow_up)
+    hist = exc.value.history
+    assert hist.stop_epoch == 1
+    assert len(hist.train_loss) == len(hist.val_loss) == 1 and hist.best_epoch == 0
+    assert np.isfinite(hist.val_loss[0])
+    assert "non-finite" in str(exc.value)
+
+
 def test_stream_requires_full_segment():
     m = Model.init(ModelConfig("lstm", cond_dim=0), seed=0)
     short = TrainSplit([Stream(np.zeros(100), np.zeros(100))],
