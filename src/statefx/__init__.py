@@ -50,9 +50,7 @@ from .metrics import (
     mse,
     multires_stft_metric,
     nrmse,
-    rms_energy_track,
     spectral_flux_metric,
-    spectrogram_report,
 )
 from .model import (
     ARCHITECTURES,
@@ -62,8 +60,6 @@ from .model import (
     Model,
     ModelConfig,
     conditioning_apply,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .numerics import Spectrogram, sigmoid, softsign, stft_mag
 from .stats import TestResult, compare_models, friedman_test, wilcoxon_signed_rank

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InputError, MetricUndefinedError
-from .numerics import MAG_FLOOR, Spectrogram, frame_signal, stft_mag
+from .numerics import MAG_FLOOR, stft_mag
 
 SF_WINDOW = 2048
 SF_HOP = 512
@@ -99,19 +99,6 @@ def multires_stft_metric(y, y_hat, windows=MULTIRES_WINDOWS) -> float:
         log = np.abs(np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mh, MAG_FLOOR)))
         total += float(lin) + float(np.mean(log))
     return total
-
-
-def rms_energy_track(y, window: int = 4096, overlap: float = 0.75) -> np.ndarray:
-    """Per-frame RMS with the given window and fractional overlap."""
-    hop = max(1, int(round(window * (1.0 - overlap))))
-    frames = frame_signal(np.asarray(y, dtype=np.float64), window, hop)
-    return np.sqrt(np.mean(frames ** 2, axis=1))
-
-
-def spectrogram_report(y, window: int = 2048, overlap: float = 0.25) -> Spectrogram:
-    """Hann magnitude spectrogram for visualization export."""
-    hop = max(1, int(round(window * (1.0 - overlap))))
-    return stft_mag(y, window, hop)
 
 
 METRICS = {"mse": mse, "esr": esr, "nrmse": nrmse, "m_sf": spectral_flux_metric,

@@ -86,6 +86,13 @@ class ModelConfig:
             raise InputError("cond_dim must be >= 0")
 
 
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B, L, k), (B, L, u) -> (k, u): the sum over lanes and steps of the
+    outer products a[i, t] b[i, t]^T, one BLAS matmul per lane.  Takes any
+    strided layout (lane-major, a real part, a sliding window) as it is."""
+    return (a.swapaxes(1, 2) @ b).sum(axis=0)
+
+
 def _per_substate(x: np.ndarray) -> np.ndarray:
     """(B, L, 6) -> (B, L, 12): each S6 channel repeated for its two substates,
     in lane-major memory like the scan's."""
@@ -438,7 +445,7 @@ class Model:
         def pullback(d_y):
             g = {}
             # output layer: y = o_c @ W_out + b_out
-            g["out.W"] = np.einsum("bl,blk->k", d_y, o_c)
+            g["out.W"] = _gram(d_y[..., None], o_c)[0]
             g["out.b"] = np.array([d_y.sum()])
             d_oc = d_y[..., None] * prm["out.W"]
 
@@ -446,7 +453,7 @@ class Model:
             d_q1 = d_oc * ss
             d_q2 = d_oc * q1 / (1.0 + np.abs(q2)) ** 2
             d_zg = np.concatenate([d_q1, d_q2], axis=-1)
-            g["glu.W"] = np.einsum("blz,blk->zk", d_zg, q)
+            g["glu.W"] = _gram(d_zg, q)
             g["glu.b"] = d_zg.sum(axis=(0, 1))
             d_q = d_zg @ prm["glu.W"]
 
@@ -455,7 +462,7 @@ class Model:
                 d_theta = (d_q * o_hat).sum(axis=1)
                 d_eta = d_q.sum(axis=1)
                 d_zf = np.concatenate([d_theta, d_eta], axis=-1)
-                g["film.W"] = np.einsum("bz,bp->zp", d_zf, p)
+                g["film.W"] = d_zf.T @ p
                 g["film.b"] = d_zf.sum(axis=0)
                 d_ohat = d_q * theta
             else:
@@ -463,11 +470,11 @@ class Model:
 
             # post-recurrent FC (tanh for the linear-recurrence family)
             d_post = d_ohat * (1.0 - o_hat ** 2) if spec.post_tanh else d_ohat
-            g["post.W"] = np.einsum("blk,blr->kr", d_post, o_rec)
+            g["post.W"] = _gram(d_post, o_rec)
             g["post.b"] = d_post.sum(axis=(0, 1))
             d_useq = scan_pullback(d_post @ prm["post.W"], g)
 
-            g["proj.W"] = np.einsum("blu,blw->uw", d_useq, win[:, :, :spec.proj_window])
+            g["proj.W"] = _gram(d_useq, win[:, :, :spec.proj_window])
             g["proj.b"] = d_useq.sum(axis=(0, 1))
             return {k: g[k] for k in prm}
 
@@ -479,34 +486,36 @@ class Model:
     # returns the gradient with respect to u_seq.
 
     def _lstm_inputs(self, u_seq, win):
-        """Gate inputs zin and, for ED, the encoder candidates and window blocks."""
+        """Gate inputs zin and, for ED, the encoder candidates."""
         prm = self.params
         B, L, _ = u_seq.shape
         zin = u_seq @ prm["lstm.U"].T + prm["lstm.b"]
         if self.config.architecture != "ed":
-            return zin, None, None, None
-        blocks = win[:, :, ED_SPLIT:].reshape(B, L, 8, cells.ED_KERNEL)
+            return zin, None, None
+        blocks = win[:, :, ED_SPLIT:].reshape(B, L, LSTM_UNITS, cells.ED_KERNEL)
         return (zin, blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0],
-                blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0], blocks)
+                blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0])
 
     def _scan_lstm_family(self, state, u_seq, win):
         prm = self.params
-        zin, ch, cc, _ = self._lstm_inputs(u_seq, win)
+        zin, ch, cc = self._lstm_inputs(u_seq, win)
         H, C = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"], ch, cc)
 
         def pullback(d_orec, g):
             # rebuilt rather than held, so a forward-only call frees them when the scan returns
-            zin, ch, cc, blocks = self._lstm_inputs(u_seq, win)
+            zin, ch, cc = self._lstm_inputs(u_seq, win)
             d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec, zin, H, C,
                                                         state["h"], state["c"], ch, cc)
-            g["lstm.W"] = np.einsum("blz,blh->zh", d_z, h_in)
-            g["lstm.U"] = np.einsum("blz,blu->zu", d_z, u_seq)
+            g["lstm.W"] = _gram(d_z, h_in)
+            g["lstm.U"] = _gram(d_z, u_seq)
             g["lstm.b"] = d_z.sum(axis=(0, 1))
-            if ch is not None:  # ED: the encoder maps the oldest half of each window
-                g["enc.kernel_h"] = np.einsum("blo,blof->f", d_ch, blocks)
-                g["enc.bias_h"] = np.array([d_ch.sum()])
-                g["enc.kernel_c"] = np.einsum("blo,blof->f", d_cc, blocks)
-                g["enc.bias_c"] = np.array([d_cc.sum()])
+            if ch is not None:
+                # ED: unit o's candidate reads block o of the oldest half of each
+                # window, so the kernel gradient sums the diagonal blocks of the product
+                for k, d in (("h", d_ch), ("c", d_cc)):
+                    G = _gram(d, win[:, :, ED_SPLIT:]).reshape(LSTM_UNITS, LSTM_UNITS, cells.ED_KERNEL)
+                    g[f"enc.kernel_{k}"] = np.trace(G)
+                    g[f"enc.bias_{k}"] = np.array([d.sum()])
             return d_z @ prm["lstm.U"]
 
         return H, {"h": H[:, -1].copy(), "c": C[:, -1].copy()}, pullback
@@ -538,12 +547,12 @@ class Model:
         def pullback(d_orec, g):
             gf = {}  # gradients keyed by the weight view's field names
             # o = Re(C h) + D * u + b_o
-            gC = (d_orec.transpose(0, 2, 1) @ H).sum(axis=0)
+            gC = _gram(d_orec, H)
             gf[lti.C + "_re"], gf[lti.C + "_im"] = gC.real.copy(), -gC.imag
             if lti.b_o:
                 gf[lti.b_o] = d_orec.sum(axis=(0, 1))
             if lti.D:
-                gf[lti.D] = np.einsum("blu,blu->u", d_orec, u_seq)
+                gf[lti.D] = (d_orec * u_seq).sum(axis=(0, 1))
             # lane-major like H, so the adjoint solve runs in place
             gh_read = (np.conj(C).T @ d_orec.transpose(0, 2, 1)).transpose(0, 2, 1)
 
@@ -553,17 +562,13 @@ class Model:
             if lti.b:
                 gb = g_pre.sum(axis=(0, 1))
                 gf[lti.b + "_re"], gf[lti.b + "_im"] = gb.real.copy(), gb.imag.copy()
-            g_Bbar = (g_pre.transpose(0, 2, 1) @ u_seq).sum(axis=0)
+            g_Bbar = _gram(g_pre, u_seq)
             gM = np.conj(s)[:, None] * g_Bbar
             gf[lti.M + "_re"], gf[lti.M + "_im"] = gM.real.copy(), gM.imag.copy()
             g_s = (np.conj(M) * g_Bbar).sum(axis=1)
             d_useq = (g_pre @ np.conj(Bbar)).real
             if lti.D:
                 d_useq = d_useq + d_orec * getattr(w, lti.D)
-            else:  # .real is a strided view, which the projection's einsum reads slowly
-                d_useq = np.ascontiguousarray(d_useq)
-            # Keep numpy loops after the last complex matmul: they clear the AVX
-            # upper state that slows the SSE-compiled einsums (see scans._solve).
             gf.update(w.coeffs_vjp(lam, s, g_lam, g_s))
             g.update((f"{arch}.{k}", v) for k, v in gf.items())
             return d_useq
@@ -590,7 +595,7 @@ class Model:
             d_orep = _per_substate(d_orec)
             gCv = d_orep * H
             gh_read = d_orep * Cv
-            g["s6.D"] = np.einsum("blu,blu->u", d_orec, u_seq)
+            g["s6.D"] = (d_orec * u_seq).sum(axis=(0, 1))
             d_useq = d_orec * w.D
 
             g_pre, g_abar_t = scans.diag_scan_backward(gh_read, H, state["h"], abar)
@@ -607,14 +612,14 @@ class Model:
             gA = gA + (gz * delta[..., None]).sum(axis=(0, 1))
             g_delta = gz @ a
             g_zd = g_delta * sigmoid(zd)
-            g["s6.W_delta"] = np.einsum("bl,blu->u", g_zd, u_seq)
+            g["s6.W_delta"] = _gram(g_zd[..., None], u_seq)[0]
             g["s6.b_delta"] = np.array([g_zd.sum()])
             d_useq = d_useq + g_zd[..., None] * w.W_delta
 
-            g["s6.W_B"] = np.einsum("blk,blu->ku", gBv, u_seq)
+            g["s6.W_B"] = _gram(gBv, u_seq)
             g["s6.b_B"] = gBv.sum(axis=(0, 1))
             d_useq = d_useq + gBv @ w.W_B
-            g["s6.W_C"] = np.einsum("blk,blu->ku", gCv, u_seq)
+            g["s6.W_C"] = _gram(gCv, u_seq)
             g["s6.b_C"] = gCv.sum(axis=(0, 1))
             d_useq = d_useq + gCv @ w.W_C
 
@@ -826,14 +831,6 @@ class Checkpoint:
         if bad:
             raise FormatError(f"{path}: non-finite values in {bad}")
         return cls(config, params, history, best_epoch)
-
-
-def save_checkpoint(model: Model, path, history=None, best_epoch: int = -1) -> None:
-    Checkpoint.from_model(model, history, best_epoch).save(path)
-
-
-def load_checkpoint(path) -> Model:
-    return Checkpoint.load(path).to_model()
 
 
 def check_dataset_compat(model: Model, cond_dim: int, sample_rate: int) -> None:

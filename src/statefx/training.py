@@ -295,7 +295,7 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
                     sl = slice(k * seg, (k + 1) * seg)
                     try:
                         loss, grads, state = backward_segment(model, state, xs[:, sl], ys[:, sl], ps)
-                    except NumericError as e:
+                    except (NumericError, StabilityError) as e:
                         history.stop_epoch = epoch
                         raise TrainingDivergedError(str(e), history) from None
                     clip_grad_norm(grads, cfg.clip_norm)

@@ -7,7 +7,7 @@ import pytest
 from statefx import cli
 from statefx.data import load_dataset, load_wav, save_wav
 from statefx.metrics import MetricReport, write_report_csv
-from statefx.model import Checkpoint, Model, ModelConfig, save_checkpoint
+from statefx.model import Checkpoint, Model, ModelConfig
 
 RNG = np.random.default_rng(3)
 
@@ -113,7 +113,7 @@ def test_train_missing_dataset_file_error(tmp_path):
 
 def test_eval_incompatible_checkpoint(dataset_dir, tmp_path):
     ckpt = tmp_path / "p0.sfx"
-    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=0), seed=0), ckpt)
+    Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=0), seed=0)).save(ckpt)
     code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
                 "--composition", "1", "--out", str(tmp_path / "e")])
     assert code == cli.EXIT_INPUT
@@ -140,7 +140,7 @@ def _edit_header(path, edit):
         "bad-dim", "negative-dim"])
 def test_eval_malformed_checkpoint_format_error(dataset_dir, tmp_path, capsys, edit):
     ckpt = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=0), ckpt)
+    Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1), seed=0)).save(ckpt)
     _edit_header(ckpt, edit)
     code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
                 "--composition", "1", "--out", str(tmp_path / "e")])
@@ -151,7 +151,7 @@ def test_eval_malformed_checkpoint_format_error(dataset_dir, tmp_path, capsys, e
 
 def test_eval_checkpoint_wrong_array_shape_format_error(dataset_dir, tmp_path):
     ckpt = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=0), ckpt)
+    Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1), seed=0)).save(ckpt)
     # same byte count, transposed shape
     _edit_header(ckpt, lambda ls: [("array=proj.W 64 6" if line.startswith("array=proj.W") else line)
                                    for line in ls])
@@ -164,7 +164,7 @@ def test_nonfinite_checkpoint_weight_format_error(dataset_dir, tmp_path, capsys)
     m = Model.init(ModelConfig("lru", cond_dim=1), seed=0)
     m.params["proj.W"][0, 0] = np.nan
     ckpt = tmp_path / "nan.sfx"
-    save_checkpoint(m, ckpt)
+    Checkpoint.from_model(m).save(ckpt)
     wav_in = tmp_path / "in.wav"
     save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
     out = tmp_path / "o.wav"
@@ -180,7 +180,7 @@ def test_nonfinite_checkpoint_weight_format_error(dataset_dir, tmp_path, capsys)
 
 def _render_inputs(tmp_path, cond_dim=2):
     ckpt = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=cond_dim), seed=2), ckpt)
+    Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=cond_dim), seed=2)).save(ckpt)
     wav_in = tmp_path / "in.wav"
     save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
     return ["render", "--checkpoint", str(ckpt), "--input", str(wav_in),
@@ -276,6 +276,17 @@ def test_train_divergence_numeric_error(dataset_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_train_s4d_divergence_numeric_error(dataset_dir, tmp_path, capsys):
+    # the diverged S4D fails its discretization inside the segment's forward
+    out = tmp_path / "o"
+    code = run(["train", "--arch", "s4d", "--dataset", str(dataset_dir), "--composition", "1",
+                "--lr", "1e300", "--max-epochs", "2", "--batch-size", "2", "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "Traceback" not in err
+    assert not out.exists()
+
 def test_dataset_unknown_fixed_name_input_error(tmp_path, capsys):
     out = tmp_path / "d"
     code = run(["dataset", "--effect", "waveshaper_overdrive", "--fix", "nosuch=1",
@@ -305,7 +316,7 @@ def test_eval_malformed_dataset_json_format_error(dataset_dir, tmp_path, capsys,
         text = json.dumps({**json.loads((ds / name).read_text()), **text})
     (ds / name).write_text(text)
     ckpt = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=1), seed=0), ckpt)
+    Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=1), seed=0)).save(ckpt)
     code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
                 "--composition", "1", "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
@@ -315,7 +326,7 @@ def test_eval_malformed_dataset_json_format_error(dataset_dir, tmp_path, capsys,
 
 def test_render_empty_wav_writes_empty_output(tmp_path, capsys):
     ckpt = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lru", cond_dim=1), seed=2), ckpt)
+    Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1), seed=2)).save(ckpt)
     wav_in = tmp_path / "empty.wav"
     save_wav(wav_in, np.zeros(0))
     out = tmp_path / "o.wav"
@@ -327,7 +338,7 @@ def test_render_empty_wav_writes_empty_output(tmp_path, capsys):
 
 def test_render_scheduled_params_match_constant(dataset_dir, tmp_path):
     ckpt_path = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=1), seed=2), ckpt_path)
+    Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=1), seed=2)).save(ckpt_path)
     wav_in = tmp_path / "in.wav"
     save_wav(wav_in, RNG.uniform(-0.5, 0.5, 12000))
     sched = tmp_path / "sched.csv"
@@ -343,7 +354,7 @@ def test_render_scheduled_params_match_constant(dataset_dir, tmp_path):
 
 def test_render_rejects_wrong_rate(tmp_path):
     ckpt_path = tmp_path / "m.sfx"
-    save_checkpoint(Model.init(ModelConfig("lstm", cond_dim=0), seed=2), ckpt_path)
+    Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=0), seed=2)).save(ckpt_path)
     wav_in = tmp_path / "in44.wav"
     save_wav(wav_in, np.zeros(1000), sample_rate=44100)
     code = run(["render", "--checkpoint", str(ckpt_path), "--input", str(wav_in),

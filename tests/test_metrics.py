@@ -13,9 +13,7 @@ from statefx.metrics import (
     mse,
     multires_stft_metric,
     nrmse,
-    rms_energy_track,
     spectral_flux_metric,
-    spectrogram_report,
     write_report_csv,
 )
 
@@ -142,31 +140,6 @@ def test_metric_asymmetry_is_by_construction():
     y_hat = 0.3 * y + 0.1 * RNG.normal(size=4096)
     assert multires_stft_metric(y, y_hat) != pytest.approx(
         multires_stft_metric(y_hat, y), rel=1e-3)
-
-
-def test_rms_track_constant_and_zero():
-    assert np.allclose(rms_energy_track(np.full(10000, -0.35)), 0.35)
-    assert np.all(rms_energy_track(np.zeros(10000)) == 0.0)
-
-
-def test_rms_track_sine():
-    t = np.arange(48000)
-    y = np.sin(2 * np.pi * 1000 * t / 48000)
-    track = rms_energy_track(y)
-    assert np.allclose(track, 1.0 / np.sqrt(2.0), atol=1e-3)
-    # window 4096, 75% overlap -> hop 1024
-    assert len(track) == (48000 - 4096) // 1024 + 1
-
-
-def test_spectrogram_report_conventions():
-    t = np.arange(20000)
-    y = np.sin(2 * np.pi * (48000 / 2048 * 32) * t / 48000)  # bin 32 at window 2048
-    spec = spectrogram_report(y)
-    assert spec.hop == 1536  # 2048 with 25% overlap
-    assert spec.window == "hann"
-    assert np.all(np.argmax(spec.magnitudes, axis=1) == 32)
-    zero = spectrogram_report(np.zeros(8192))
-    assert np.all(zero.magnitudes == 0.0)
 
 
 def test_compute_report_all_zero_when_equal():

@@ -11,6 +11,7 @@ from statefx.errors import (
 from statefx.model import (
     ARCHITECTURES,
     FLOPS_BUDGET,
+    HIST_LEN,
     REFERENCE_FLOPS_CONDITIONING,
     REFERENCE_FLOPS_TOTAL,
     Checkpoint,
@@ -19,8 +20,7 @@ from statefx.model import (
     ModelConfig,
     check_dataset_compat,
     conditioning_apply,
-    load_checkpoint,
-    save_checkpoint,
+    _gram,
 )
 
 import oracles
@@ -283,7 +283,7 @@ def test_checkpoint_round_trip(arch, tmp_path):
     hist = {"train_loss": np.array([0.5, 0.4]), "val_loss": np.array([0.6, 0.45]),
             "lr": np.array([3e-4, 3e-4])}
     path = tmp_path / "ck.sfx"
-    save_checkpoint(m, path, hist, best_epoch=1)
+    Checkpoint.from_model(m, hist, best_epoch=1).save(path)
     ck = Checkpoint.load(path)
     assert ck.best_epoch == 1
     assert ck.config.architecture == arch
@@ -297,7 +297,7 @@ def test_checkpoint_round_trip(arch, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
     # forward outputs identical before/after round trip
-    m2 = load_checkpoint(path)
+    m2 = Checkpoint.load(path).to_model()
     x = RNG.uniform(-1, 1, 300)
     p = np.array([0.1, 0.9])
     y1, _ = m.forward_segment(m.init_state(1), x, p)
@@ -308,7 +308,7 @@ def test_checkpoint_round_trip(arch, tmp_path):
 def test_checkpoint_truncated_rejected(tmp_path):
     m = make_model("lru", cond_dim=1)
     path = tmp_path / "ck.sfx"
-    save_checkpoint(m, path)
+    Checkpoint.from_model(m).save(path)
     blob = path.read_bytes()
     (tmp_path / "bad.sfx").write_bytes(blob[:len(blob) - 100])
     with pytest.raises(FormatError):
@@ -361,11 +361,11 @@ def test_checkpoint_nonfinite_weight_rejected(tmp_path):
     m = make_model("lru", cond_dim=1)
     history = {"val_esr": np.array([np.inf, 0.5])}  # an inf history value is legitimate
     path = tmp_path / "ck.sfx"
-    save_checkpoint(m, path, history)
+    Checkpoint.from_model(m, history).save(path)
     assert Checkpoint.load(path).history["val_esr"][0] == np.inf
     for bad in (np.nan, np.inf):
         m.params["proj.W"][2, 5] = bad
-        save_checkpoint(m, path, history)
+        Checkpoint.from_model(m, history).save(path)
         with pytest.raises(FormatError, match="proj.W"):
             Checkpoint.load(path)
 
@@ -375,7 +375,7 @@ def test_checkpoint_with_retired_config_keys_loads(tmp_path):
     # more header lines; the loader ignores keys it does not know
     m = make_model("s4d", cond_dim=1, seed=4)
     path = tmp_path / "ck.sfx"
-    save_checkpoint(m, path, best_epoch=3)
+    Checkpoint.from_model(m, best_epoch=3).save(path)
     blob = path.read_bytes()
     retired = (b"lru_r_min=0.5\nlru_r_max=0.99\nlru_max_phase=0.3141592653589793\n"
                b"s4d_delta_min=0.001\ns4d_delta_max=0.1\n")
@@ -419,3 +419,40 @@ def test_batched_scheduled_conditioning_matches_single_streams(arch):
     for b in range(2):
         y_b, _ = m.forward_segment(m.init_state(1), x[b], sched[b])
         assert np.max(np.abs(y[b] - y_b)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# weight-gradient contraction
+# ---------------------------------------------------------------------------
+
+def _operand(layout, B, L, rng):
+    """A (B, L, k) operand in one of the layouts the pullbacks pass."""
+    if layout == "contiguous":
+        return rng.normal(size=(B, L, 6))
+    if layout == "lane-major":  # the linear-recurrence scans' per-step arrays
+        a = rng.normal(size=(B, 12, L)).transpose(0, 2, 1)
+        assert a.strides[1] == 8
+        return a
+    if layout == "real-part":  # Re of a complex read-out
+        a = (rng.normal(size=(B, L, 6)) + 1j * rng.normal(size=(B, L, 6))).real
+        assert a.strides[2] == 16
+        return a
+    # the projection's newest-first window view
+    ext = rng.normal(size=(B, L + HIST_LEN))
+    a = np.lib.stride_tricks.sliding_window_view(ext, HIST_LEN + 1, axis=1)[:, :, ::-1]
+    assert a.strides[2] == -8
+    return a
+
+
+@pytest.mark.parametrize("B", [1, 3, 32])
+@pytest.mark.parametrize("layout", ["contiguous", "lane-major", "real-part", "window"])
+def test_gram_equals_einsum_on_each_layout(layout, B):
+    rng = np.random.default_rng(B)
+    L = 500
+    a = _operand(layout, B, L, rng)
+    c = rng.normal(size=(B, L, 4))
+    for x, y in ((a, c), (c, a)):
+        want = np.einsum("blk,blu->ku", x, y)
+        got = _gram(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

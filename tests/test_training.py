@@ -131,6 +131,25 @@ def test_gradients_through_carried_state_match_finite_differences(arch):
             assert abs(fd - g[j]) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-6), (name, j, fd, g[j])
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_batched_gradients_equal_mean_of_lane_gradients(arch):
+    # the loss is the mean over lanes of each lane's mean, so the batched
+    # weight gradients, summed over lanes and steps in one product, must be
+    # the mean of the single-lane gradients to rounding
+    rng = np.random.default_rng(31)
+    m = Model.init(ModelConfig(arch, cond_dim=2), seed=19)
+    B = 3
+    p = rng.uniform(0, 1, (B, 2))
+    _, state = m.forward_segment(m.init_state(B), rng.uniform(-0.9, 0.9, (B, 200)), p)
+    x = rng.uniform(-0.9, 0.9, (B, 300))
+    t = rng.uniform(-0.9, 0.9, (B, 300))
+    _, grads, _ = backward_segment(m, state, x, t, p)
+    lanes = [backward_segment(m, {k: v[b:b + 1] for k, v in state.items()}, x[b:b + 1],
+                              t[b:b + 1], p[b:b + 1])[1] for b in range(B)]
+    for name, g in grads.items():
+        mean = sum(lane[name] for lane in lanes) / B
+        assert np.max(np.abs(g - mean)) <= 1e-12 * np.max(np.abs(mean)), name
+
 @pytest.mark.parametrize("arch", ["lstm", "lru"])
 def test_empty_segment_rejected(arch):
     m = Model.init(ModelConfig(arch, cond_dim=0), seed=1)
@@ -300,6 +319,17 @@ def test_instability_during_training_keeps_history():
     assert exc.value.history.stop_epoch == 0
     assert "finite" in str(exc.value)
 
+
+
+def test_s4d_divergence_in_segment_keeps_history():
+    # the first update overflows S4D's rates, so the next segment's
+    # discretization raises StabilityError inside backward_segment
+    m = Model.init(ModelConfig("s4d", cond_dim=0), seed=0)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(m, _identity_split(), TrainConfig(initial_lr=1e300, max_epochs=2, batch_size=2, seed=0))
+    hist = exc.value.history
+    assert hist.stop_epoch == 0 and hist.train_loss == [] and hist.best_epoch == -1
+    assert "Re(a_k) < 0" in str(exc.value)
 
 def test_numeric_error_during_training_keeps_history():
     m = Model.init(ModelConfig("lru", cond_dim=0), seed=0)
