@@ -66,19 +66,26 @@ def _friedman_exact_p(ranks2: np.ndarray, t2_obs: int) -> float:
     The statistic ordering only depends on T2 = sum_j (R2_j - n(k+1))^2,
     which the enumeration tracks over all products of distinct per-block
     arrangements.  Column sums are exchangeable, so states collapse to
-    sorted tuples.
+    sorted tuples.  Each sorted state is deduplicated by one int64 key,
+    mixed-radix in base 2nk + 1 over its doubled sums (each at most 2nk),
+    which orders states as the tuples themselves would sort.  Blocks with
+    the most distinct arrangements go first: a tied block puts odd doubled
+    sums into the states, and taken early it multiplies every state set
+    after it.  Counts are integers in float64, exact while their total
+    (k!)^n < 2^53 (k <= 5 and n <= 7), so the block order cannot change a
+    bit of the p-value there.
     """
     n, k = ranks2.shape
+    blocks = [np.array(sorted(set(itertools.permutations(row))), dtype=np.int64) for row in ranks2]
+    blocks.sort(key=len, reverse=True)
+    radix = (2 * n * k + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
     states = np.zeros((1, k), dtype=np.int64)
     counts = np.ones(1, dtype=np.float64)
-    for b in range(n):
-        perms = np.array(sorted(set(itertools.permutations(ranks2[b]))), dtype=np.int64)
-        expanded = states[:, None, :] + perms[None, :, :]
-        expanded = np.sort(expanded.reshape(-1, k), axis=1)
-        rep = np.repeat(counts, len(perms))
-        uniq, inverse = np.unique(expanded, axis=0, return_inverse=True)
-        states = uniq
-        counts = np.bincount(inverse, weights=rep, minlength=len(uniq))
+    for perms in blocks:
+        expanded = np.sort((states[:, None, :] + perms[None, :, :]).reshape(-1, k), axis=1)
+        _, first, inverse = np.unique(expanded @ radix, return_index=True, return_inverse=True)
+        states = expanded[first]
+        counts = np.bincount(inverse, weights=np.repeat(counts, len(perms)), minlength=len(first))
     center = n * (k + 1)
     t2 = ((states - center) ** 2).sum(axis=1)
     total = counts.sum()
@@ -92,7 +99,8 @@ def friedman_test(scores, method: str = "auto") -> TestResult:
     Ties get average ranks and the tie-corrected chi-square statistic is
     reported.  The p-value comes from exact enumeration when blocks <= 8
     and models <= 5 (or method="exact"), otherwise from the chi-square
-    approximation with k-1 degrees of freedom.
+    approximation with k-1 degrees of freedom.  A forced exact test whose
+    state key (2nk + 1)^k would pass int64 raises InputError.
     """
     m = np.asarray(scores, dtype=np.float64)
     if m.ndim != 2:
@@ -117,6 +125,9 @@ def friedman_test(scores, method: str = "auto") -> TestResult:
     use_exact = method == "exact" or (
         method == "auto" and n <= FRIEDMAN_EXACT_MAX_BLOCKS and k <= FRIEDMAN_EXACT_MAX_MODELS)
     if use_exact:
+        if (2 * n * k + 1) ** k > np.iinfo(np.int64).max:
+            raise InputError(f"exact Friedman test on {n} blocks x {k} models would overflow "
+                             "its int64 state key; use method=\"approx\"")
         ranks2 = np.rint(2.0 * ranks).astype(np.int64)
         t2_obs = int(((2 * col_sums - n * (k + 1)) ** 2).sum().round())
         return TestResult(stat, _friedman_exact_p(ranks2, t2_obs), "exact")

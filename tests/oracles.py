@@ -270,8 +270,8 @@ def wilcoxon_exact_enum(d):
 def friedman_exact_enum(matrix):
     """Exact p by enumerating every combination of within-block permutations.
 
-    Only feasible for tiny matrices; complements the package's convolution-
-    based enumeration with a literally exhaustive one.
+    Only feasible for tiny matrices; complements the package's state
+    enumeration with a literally exhaustive one.
     """
     m = np.asarray(matrix, dtype=float)
     n, k = m.shape

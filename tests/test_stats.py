@@ -3,6 +3,7 @@ import pytest
 import scipy.stats as scipy_stats
 from scipy.special import gammaincc, ndtr
 
+from statefx import stats
 from statefx.errors import InputError
 from statefx.stats import (
     _avg_ranks,
@@ -87,6 +88,47 @@ def test_friedman_exact_enumeration_with_ties():
     mine = friedman_test(m, method="exact")
     ref = oracles.friedman_exact_enum(m)
     assert mine.p_value == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5)], ids=["3x4", "2x5"])
+def test_friedman_exact_matches_full_enumeration_wider(shape, tie):
+    # 24^3 = 13,824 and 120^2 = 14,400 combinations: the state key's radix
+    # at every model count the auto mode enumerates
+    m = np.random.default_rng(shape[1]).normal(size=shape)
+    if tie:
+        m[-1, 0] = m[-1, 1]
+    mine = friedman_test(m, method="exact")
+    ref = oracles.friedman_exact_enum(m)
+    assert mine.p_value == pytest.approx(ref, abs=1e-12)
+
+
+def test_friedman_exact_block_order_bit_identical():
+    # a tied first row is enumerated last; integer counts stay exact below
+    # 2^53, so no row order can change a bit of the p-value
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(6, 5))
+    m[0, 1] = m[0, 3]
+    base = friedman_test(m)
+    assert base.method == "exact"
+    for _ in range(5):
+        res = friedman_test(m[rng.permutation(6)])
+        assert res.statistic == pytest.approx(base.statistic, abs=1e-12)
+        assert res.p_value == base.p_value
+
+
+def test_friedman_exact_key_overflow_rejected(monkeypatch):
+    def no_enumeration(ranks2, t2_obs):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(stats, "_friedman_exact_p", no_enumeration)
+    # (2*37*7 + 1)^7 exceeds int64, (2*36*7 + 1)^7 fits
+    rng = np.random.default_rng(37)
+    with pytest.raises(InputError, match="approx"):
+        friedman_test(rng.normal(size=(37, 7)), method="exact")
+    with pytest.raises(AssertionError, match="enumeration ran"):
+        friedman_test(rng.normal(size=(36, 7)), method="exact")
+    assert friedman_test(rng.normal(size=(37, 7)), method="auto").method == "chi-square"
 
 
 def test_friedman_statistic_matches_scipy():
