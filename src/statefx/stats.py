@@ -72,8 +72,8 @@ def _friedman_exact_p(ranks2: np.ndarray, t2_obs: int) -> float:
     the most distinct arrangements go first: a tied block puts odd doubled
     sums into the states, and taken early it multiplies every state set
     after it.  Counts are integers in float64, exact while their total
-    (k!)^n < 2^53 (k <= 5 and n <= 7), so the block order cannot change a
-    bit of the p-value there.
+    (k!)^n < 2^53 (at k = 5, up to n = 7), so the block order cannot change
+    a bit of the p-value there.
     """
     n, k = ranks2.shape
     blocks = [np.array(sorted(set(itertools.permutations(row))), dtype=np.int64) for row in ranks2]
@@ -100,7 +100,7 @@ def friedman_test(scores, method: str = "auto") -> TestResult:
     reported.  The p-value comes from exact enumeration when blocks <= 8
     and models <= 5 (or method="exact"), otherwise from the chi-square
     approximation with k-1 degrees of freedom.  A forced exact test whose
-    state key (2nk + 1)^k would pass int64 raises InputError.
+    state key (2nk + 1)^k would exceed int64 raises InputError.
     """
     m = np.asarray(scores, dtype=np.float64)
     if m.ndim != 2:
