@@ -68,20 +68,14 @@ def _friedman_exact_p(ranks2: np.ndarray, t2_obs: int) -> float:
     arrangements.  Column sums are exchangeable, so states collapse to
     sorted tuples.  Each sorted state is deduplicated by one int64 key,
     mixed-radix in base 2nk + 1 over its doubled sums (each at most 2nk),
-    which orders states as the tuples themselves would sort.  Blocks with
-    the most distinct arrangements go first: a tied block puts odd doubled
-    sums into the states, and taken early it multiplies every state set
-    after it.  Counts are integers in float64, exact while their total
-    (k!)^n < 2^53 (at k = 5, up to n = 7), so the block order cannot change
-    a bit of the p-value there.
+    which orders states as the tuples themselves would sort.
     """
     n, k = ranks2.shape
-    blocks = [np.array(sorted(set(itertools.permutations(row))), dtype=np.int64) for row in ranks2]
-    blocks.sort(key=len, reverse=True)
     radix = (2 * n * k + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
     states = np.zeros((1, k), dtype=np.int64)
     counts = np.ones(1, dtype=np.float64)
-    for perms in blocks:
+    for row in ranks2:
+        perms = np.array(sorted(set(itertools.permutations(row))), dtype=np.int64)
         expanded = np.sort((states[:, None, :] + perms[None, :, :]).reshape(-1, k), axis=1)
         _, first, inverse = np.unique(expanded @ radix, return_index=True, return_inverse=True)
         states = expanded[first]
