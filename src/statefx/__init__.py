@@ -61,7 +61,7 @@ from .model import (
     ModelConfig,
     conditioning_apply,
 )
-from .numerics import Spectrogram, sigmoid, softsign, stft_mag
+from .numerics import sigmoid, softsign, stft_mag
 from .stats import TestResult, compare_models, friedman_test, wilcoxon_signed_rank
 from .training import (
     AdamState,

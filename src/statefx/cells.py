@@ -407,14 +407,14 @@ def init_ed_encoder(rng: np.random.Generator) -> EdEncoder:
     )
 
 
-def init_lru(rng: np.random.Generator, r_min: float = 0.5, r_max: float = 0.99,
-             max_phase: float = np.pi / 10.0) -> LruWeights:
-    r = rng.uniform(r_min, r_max, SSM_STATE)
+def init_lru(rng: np.random.Generator) -> LruWeights:
+    """Eigenvalue radii uniform in [0.5, 0.99), phases in [0, pi/10)."""
+    r = rng.uniform(0.5, 0.99, SSM_STATE)
     s_in = 1.0 / np.sqrt(2.0 * SSM_IN)
     s_out = 1.0 / np.sqrt(2.0 * SSM_STATE)
     w = LruWeights(
         nu=np.log(-np.log(r)),
-        theta=rng.uniform(0.0, max_phase, SSM_STATE),
+        theta=rng.uniform(0.0, np.pi / 10.0, SSM_STATE),
         U_re=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
         U_im=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
         b_re=np.zeros(SSM_STATE),
@@ -427,14 +427,15 @@ def init_lru(rng: np.random.Generator, r_min: float = 0.5, r_max: float = 0.99,
     return w
 
 
-def init_s4d(rng: np.random.Generator, delta_min: float = 1e-3, delta_max: float = 1e-1) -> S4dWeights:
+def init_s4d(rng: np.random.Generator) -> S4dWeights:
+    """Step sizes log-uniform in [1e-3, 1e-1)."""
     k = np.arange(SSM_STATE, dtype=np.float64)
     s_in = 1.0 / np.sqrt(2.0 * SSM_IN)
     s_out = 1.0 / np.sqrt(2.0 * SSM_STATE)
     return S4dWeights(
         log_neg_a_re=np.full(SSM_STATE, np.log(0.5)),  # A_k = -1/2 + i*pi*k
         a_im=np.pi * k,
-        log_delta=rng.uniform(np.log(delta_min), np.log(delta_max), SSM_STATE),
+        log_delta=rng.uniform(np.log(1e-3), np.log(1e-1), SSM_STATE),
         B_re=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
         B_im=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
         C_re=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),

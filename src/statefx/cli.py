@@ -19,14 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, metrics, stats, training
-from .errors import (
-    CompatibilityError,
-    FormatError,
-    InputError,
-    NumericError,
-    StatefxError,
-)
+from . import __version__, cells, data, metrics, stats, training
+from .errors import FormatError, InputError, NumericError, StatefxError
 from .model import (
     ARCHITECTURES,
     Checkpoint,
@@ -66,6 +60,15 @@ def _number(text: str, what: str) -> float:
     if not np.isfinite(v):
         raise InputError(f"bad {what} value {text!r}; expected a finite number")
     return v
+
+
+def _read_csv(path, reader=csv.reader) -> list:
+    """Every row of a CSV file, or FormatError naming it when its bytes are not text."""
+    try:
+        with open(path) as fh:
+            return list(reader(fh))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: undecodable text ({e})") from None
 
 
 def _parse_assignments(items, what: str) -> dict:
@@ -112,7 +115,7 @@ def cmd_dataset(args) -> int:
 
 def _load_split(dataset_dir, composition: int):
     recs, meta = data.load_dataset(dataset_dir)
-    comps = data.make_split_compositions(recs, n=5)
+    comps = data.make_split_compositions(recs)
     train_s, val_s, test_s = data.resolve_composition(recs, comps[composition - 1])
     return recs, meta, train_s, val_s, test_s
 
@@ -173,17 +176,16 @@ def cmd_eval(args) -> int:
 def _load_schedule(path, n_samples: int, cond_dim: int) -> np.ndarray:
     """Piecewise-constant conditioning schedule from CSV rows (sample, p...)."""
     rows = []
-    with open(path) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "sample":
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric schedule row {row}") from None
-            if not (np.all(np.isfinite(values)) and values[0] == int(values[0])):
-                raise FormatError(f"{path}: schedule row {row} needs finite values and a whole sample index")
-            rows.append(values)
+    for row in _read_csv(path):
+        if not row or row[0].strip().startswith("#") or row[0].strip() == "sample":
+            continue
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            raise FormatError(f"{path}: non-numeric schedule row {row}") from None
+        if not (np.all(np.isfinite(values)) and values[0] == int(values[0])):
+            raise FormatError(f"{path}: schedule row {row} needs finite values and a whole sample index")
+        rows.append(values)
     if not rows:
         raise FormatError(f"{path}: empty conditioning schedule")
     sched = np.full((n_samples, cond_dim), np.nan)
@@ -256,8 +258,8 @@ def cmd_benchmark(args) -> int:
         "architecture": cfg.architecture,
         "samples_per_second": round(sps),
         "real_time_factor_48k": sps / fs,
-        "algorithmic_latency_samples": 64,
-        "algorithmic_latency_ms": 64 / fs * 1000.0,
+        "algorithmic_latency_samples": cells.WINDOW_LEN,
+        "algorithmic_latency_ms": cells.WINDOW_LEN / fs * 1000.0,
         "trainable_parameters": model.count_params(),
         "flops_per_sample": fl.total,
         "flops_convention": fl.convention,
@@ -288,10 +290,9 @@ def cmd_compare(args) -> int:
     if not paths:
         raise InputError(f"no eval CSVs match {args.eval_csv}")
     # mean rows per (dataset, model, file) form the blocks
-    cells: dict = {}
+    scores: dict = {}
     for path in paths:
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_csv(path, csv.DictReader)
         try:
             mean_rows = [(r["dataset"], r["model"], [float(r[m]) for m in metrics.METRICS])
                          for r in rows if r["split"] == "mean"]
@@ -303,7 +304,7 @@ def cmd_compare(args) -> int:
             raise FormatError(f"{path}: no mean row; not an eval CSV?")
         for dataset, model, values in mean_rows:
             for metric, v in zip(metrics.METRICS, values):
-                cells.setdefault((dataset, metric), {}).setdefault(model, []).append(v)
+                scores.setdefault((dataset, metric), {}).setdefault(model, []).append(v)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,7 +315,7 @@ def cmd_compare(args) -> int:
         wp = csv.writer(fh_p)
         ws.writerow(["dataset", "metric", "friedman_statistic", "friedman_p", "method", "note"])
         wp.writerow(["dataset", "metric", "model_a", "model_b", "w_plus", "p", "method"])
-        for (dataset, metric), rows_by_model in sorted(cells.items()):
+        for (dataset, metric), rows_by_model in sorted(scores.items()):
             result = stats.compare_models(rows_by_model)
             fr = result["friedman"]
             note = "" if fr is not None else "friedman skipped: fewer than 3 models"
@@ -339,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Train and evaluate small state-based "
                                              "virtual-analog effect models.")
     sub = ap.add_subparsers(dest="command", required=True)
+    compositions = range(1, data.N_COMPOSITIONS + 1)
 
     d = sub.add_parser("dataset", help="generate an oracle-effect dataset")
     d.add_argument("--effect", required=True, choices=sorted(data.EFFECTS))
@@ -357,23 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one architecture on one composition")
     t.add_argument("--arch", required=True, choices=ARCHITECTURES)
     t.add_argument("--dataset", required=True)
-    t.add_argument("--composition", type=int, required=True, choices=range(1, 6),
-                   metavar="1-5")
+    t.add_argument("--composition", type=int, required=True, choices=compositions,
+                   metavar=f"1-{data.N_COMPOSITIONS}")
     t.add_argument("--out", required=True)
-    t.add_argument("--lr", type=float, default=3e-4)
-    t.add_argument("--max-epochs", type=int, default=200)
-    t.add_argument("--patience", type=int, default=10)
-    t.add_argument("--segment-len", type=int, default=2400)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--decay-mode", choices=("staged", "literal"), default="staged")
-    t.add_argument("--seed", type=int, default=0)
+    tc = training.TrainConfig
+    t.add_argument("--lr", type=float, default=tc.initial_lr)
+    t.add_argument("--max-epochs", type=int, default=tc.max_epochs)
+    t.add_argument("--patience", type=int, default=tc.patience)
+    t.add_argument("--segment-len", type=int, default=tc.segment_len)
+    t.add_argument("--batch-size", type=int, default=tc.batch_size)
+    t.add_argument("--decay-mode", choices=training.DECAY_MODES, default=tc.decay_mode)
+    t.add_argument("--seed", type=int, default=tc.seed)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a composition's test split")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--dataset", required=True)
-    e.add_argument("--composition", type=int, required=True, choices=range(1, 6),
-                   metavar="1-5")
+    e.add_argument("--composition", type=int, required=True, choices=compositions,
+                   metavar=f"1-{data.N_COMPOSITIONS}")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_eval)
 
@@ -410,10 +413,10 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, CompatibilityError, StatefxError) as e:
+    except StatefxError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

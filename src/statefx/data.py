@@ -22,6 +22,7 @@ from .scans import linear_filter
 
 DEFAULT_RATE = 48000
 DEFAULT_DURATION = 45.0
+N_COMPOSITIONS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,8 @@ def generate_input_signal(duration: float = DEFAULT_DURATION, sample_rate: int =
     if instrument_paths:
         pieces = [load_wav(p, sample_rate=fs) for p in instrument_paths]
         inst = np.concatenate(pieces)
+        if len(inst) == 0:
+            raise InputError(f"instrument audio {', '.join(map(str, instrument_paths))} holds no samples")
         if len(inst) < lens[3]:
             inst = np.tile(inst, int(np.ceil(lens[3] / len(inst))))
         inst = inst[:lens[3]].copy()
@@ -377,8 +380,8 @@ def _snap_point(energy_csum, nominal: int, n: int, fs: int, rec_rms: float,
     return int(centers[np.argmin(np.abs(centers - nominal))])
 
 
-def make_split_compositions(recordings: list, n: int = 5) -> list:
-    """Five 80/10/10 compositions with rotated, snapped val/test spans.
+def make_split_compositions(recordings: list) -> list:
+    """``N_COMPOSITIONS`` 80/10/10 compositions with rotated, snapped val/test spans.
 
     Nominal spans put validation on decile 2c and test on decile 2c+1 of
     each recording for composition c.  Boundaries snap to nearby low-energy
@@ -388,7 +391,7 @@ def make_split_compositions(recordings: list, n: int = 5) -> list:
     boundary with a warning.
     """
     comps = []
-    for c in range(n):
+    for c in range(N_COMPOSITIONS):
         val_spans, test_spans = [], []
         for rec in recordings:
             ln = len(rec.input)
@@ -410,7 +413,7 @@ def make_split_compositions(recordings: list, n: int = 5) -> list:
 
             vs = min(snap(v0), t0 - 1) if c > 0 else 0
             ts = min(snap(t0), t0)
-            te = max(snap(t1), t1) if c < n - 1 else ln
+            te = max(snap(t1), t1) if c < N_COMPOSITIONS - 1 else ln
             vs = max(0, min(vs, ts - 1))
             te = min(te, ln)
             val_spans.append((vs, ts))

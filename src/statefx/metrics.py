@@ -4,9 +4,11 @@
 order; reports, their CSV rows and the CLI's comparison columns follow it.
 
 The two spectral metrics compare target y against prediction y_hat through
-Hann-windowed magnitude STFTs.  Both normalize by the target, so neither is
-symmetric in its arguments; that is deliberate.  Denominators and log
-arguments are floored at 1e-7.
+the Hann-windowed magnitude STFTs of ``numerics.stft_mag``, at fixed
+settings: spectral flux at ``SF_WINDOW`` samples with hop ``SF_HOP``, the
+multi-resolution distance at each of ``MULTIRES_WINDOWS`` with hop m/4.
+Both normalize by the target, so neither is symmetric in its arguments;
+that is deliberate.  Denominators and log arguments are floored at 1e-7.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def nrmse(y, y_hat) -> float:
     return float(np.sqrt(esr(y, y_hat)))
 
 
-def spectral_flux_metric(y, y_hat, window_size: int = SF_WINDOW, hop: int = SF_HOP) -> float:
+def spectral_flux_metric(y, y_hat) -> float:
     """Compare target and predicted spectral flux, normalized by the target's.
 
     Flux is the elementwise magnitude change between consecutive STFT
@@ -67,17 +69,17 @@ def spectral_flux_metric(y, y_hat, window_size: int = SF_WINDOW, hop: int = SF_H
     sample-domain averages wash out still register.
     """
     y, y_hat = _pair(y, y_hat)
-    if y.shape[0] < 2 * window_size:
-        raise InputError(f"signals must hold at least {2 * window_size} samples "
-                         f"for two {window_size}-sample frames")
-    my = stft_mag(y, window_size, hop).magnitudes
-    mh = stft_mag(y_hat, window_size, hop).magnitudes
+    if y.shape[0] < 2 * SF_WINDOW:
+        raise InputError(f"signals must hold at least {2 * SF_WINDOW} samples "
+                         f"for two {SF_WINDOW}-sample frames")
+    my = stft_mag(y, SF_WINDOW, SF_HOP)
+    mh = stft_mag(y_hat, SF_WINDOW, SF_HOP)
     flux_y = np.abs(np.diff(my, axis=0))
     flux_h = np.abs(np.diff(mh, axis=0))
     return float(np.abs(flux_y - flux_h).sum() / max(flux_y.sum(), MAG_FLOOR))
 
 
-def multires_stft_metric(y, y_hat, windows=MULTIRES_WINDOWS) -> float:
+def multires_stft_metric(y, y_hat) -> float:
     """Sum over resolutions of linear and log spectral L1 distances.
 
     For each window size m (hop m/4) the linear term is the norm ratio
@@ -87,14 +89,12 @@ def multires_stft_metric(y, y_hat, windows=MULTIRES_WINDOWS) -> float:
     deliberately asymmetric in its arguments.
     """
     y, y_hat = _pair(y, y_hat)
-    n = y.shape[0]
-    if n < max(windows):
-        raise InputError(f"signals must hold at least {max(windows)} samples")
+    if y.shape[0] < max(MULTIRES_WINDOWS):
+        raise InputError(f"signals must hold at least {max(MULTIRES_WINDOWS)} samples")
     total = 0.0
-    for m in windows:
-        hop = m // 4
-        my = stft_mag(y, m, hop).magnitudes
-        mh = stft_mag(y_hat, m, hop).magnitudes
+    for m in MULTIRES_WINDOWS:
+        my = stft_mag(y, m, m // 4)
+        mh = stft_mag(y_hat, m, m // 4)
         lin = np.abs(my - mh).sum() / max(my.sum(), MAG_FLOOR)
         log = np.abs(np.log(np.maximum(my, MAG_FLOOR)) - np.log(np.maximum(mh, MAG_FLOOR)))
         total += float(lin) + float(np.mean(log))
@@ -118,10 +118,6 @@ class MetricReport:
     model: str = ""
     dataset: str = ""
     split: str = ""
-    window: ClassVar[str] = "hann"
-    sf_window: ClassVar[int] = SF_WINDOW
-    sf_hop: ClassVar[int] = SF_HOP
-    resolutions: ClassVar[tuple] = MULTIRES_WINDOWS
     CSV_FIELDS: ClassVar[tuple] = ("model", "dataset", "split", *METRICS)
 
     def csv_row(self) -> list:

@@ -25,6 +25,7 @@ and a holomorphic f gives g_z = conj(f'(z))*g_{f(z)}.
 from __future__ import annotations
 
 import io
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -802,7 +803,7 @@ class Checkpoint:
         except ValueError as e:
             raise FormatError(f"{path}: bad header value: {e}") from None
 
-        total = sum(int(np.prod(shape)) if shape else 1 for _, shape in specs)
+        total = sum(math.prod(shape) for _, shape in specs)
         if len(body) != 8 * total:
             raise FormatError(f"{path}: expected {8 * total} bytes of array data, found {len(body)}"
                               " (truncated or corrupt)")
@@ -811,8 +812,11 @@ class Checkpoint:
         history: dict[str, np.ndarray] = {}
         pos = 0
         for name, shape in specs:
-            size = int(np.prod(shape)) if shape else 1
-            arr = flat[pos:pos + size].reshape(shape).copy()
+            size = math.prod(shape)
+            try:
+                arr = flat[pos:pos + size].reshape(shape).copy()
+            except ValueError as e:  # a dimension numpy cannot index, beside a zero one
+                raise FormatError(f"{path}: bad shape {shape} for {name}: {e}") from None
             pos += size
             if name.startswith("history."):
                 history[name[len("history."):]] = arr

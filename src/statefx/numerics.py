@@ -1,13 +1,10 @@
-"""Minimal numerical kernels: activations and windowed DFTs.
+"""Minimal numerical kernels: activations and a Hann-windowed magnitude STFT.
 
-Everything here is a pure function of its inputs.  Arrays are float64
-unless the caller supplies float32; complex values use numpy's complex
-dtype with real/imaginary parts of matching width.
+Everything here is a pure function of its inputs and returns plain float64
+arrays (or floats for scalar input).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,73 +30,20 @@ def softsign(x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """Magnitude spectrogram of a real signal.
+def stft_mag(signal, window_size: int, hop: int) -> np.ndarray:
+    """Hann-windowed magnitude STFT of a 1-d real signal, (frames, window_size // 2 + 1).
 
-    ``magnitudes`` has shape (frames, bins) with bins = window_size//2 + 1.
-    ``window`` records the analysis window ("hann" or "rectangular") so a
-    report can state how it was produced.
+    Frames are not centered and the signal is not padded, so every frame
+    holds real samples only: there are floor((len - window_size) / hop) + 1
+    of them, and a signal shorter than one window raises InputError.  The
+    periodic Hann window is 0.5 - 0.5 cos(2 pi n / window_size).
     """
-
-    magnitudes: np.ndarray
-    window_size: int
-    hop: int
-    window: str = "hann"
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes)
-        if mags.ndim != 2:
-            raise DimensionError("magnitudes must be 2-d (frames, bins)")
-        if mags.shape[1] != self.window_size // 2 + 1:
-            raise DimensionError(
-                f"bins {mags.shape[1]} inconsistent with window_size {self.window_size}"
-            )
-        if mags.size and mags.min() < 0:
-            raise InputError("magnitudes must be non-negative")
-
-    @property
-    def frames(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.magnitudes.shape[1]
-
-
-def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window of length n."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def frame_signal(signal: np.ndarray, window_size: int, hop: int) -> np.ndarray:
-    """Slice a 1-d signal into (frames, window_size) rows, no padding.
-
-    Frame count is floor((len - window_size) / hop) + 1; a signal shorter
-    than one window raises InputError.  The rows are a read-only strided
-    view of ``signal``, not a copy.
-    """
-    signal = np.asarray(signal)
+    signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise DimensionError("expected a 1-d signal")
     n = signal.shape[0]
     if n < window_size:
         raise InputError(f"signal of {n} samples is shorter than one {window_size}-sample window")
-    return np.lib.stride_tricks.sliding_window_view(signal, window_size)[::hop]
-
-
-def stft_mag(signal: np.ndarray, window_size: int, hop: int, window: str = "hann") -> Spectrogram:
-    """Magnitude STFT of a real signal.
-
-    Frames are not centered and the signal is not padded, so every frame
-    holds real samples only.  ``window`` selects the analysis window;
-    "hann" is the default used by every metric in this package,
-    "rectangular" applies no taper.
-    """
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), window_size, hop)
-    if window == "hann":
-        frames = frames * hann_window(window_size)
-    elif window != "rectangular":
-        raise InputError(f"unknown window {window!r}; expected 'hann' or 'rectangular'")
-    mags = np.abs(np.fft.rfft(frames, axis=1))
-    return Spectrogram(magnitudes=mags, window_size=window_size, hop=hop, window=window)
+    frames = np.lib.stride_tricks.sliding_window_view(signal, window_size)[::hop]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    return np.abs(np.fft.rfft(frames * hann, axis=1))

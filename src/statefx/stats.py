@@ -205,8 +205,8 @@ def score_matrix(rows: dict) -> np.ndarray:
     return np.column_stack([np.asarray(rows[m], dtype=np.float64) for m in models])
 
 
-def compare_models(rows: dict, method: str = "auto") -> dict:
-    """Friedman plus pairwise Wilcoxon across models.
+def compare_models(rows: dict) -> dict:
+    """Friedman plus pairwise Wilcoxon across models, each with method="auto".
 
     Returns {"models", "friedman": TestResult|None, "pairwise":
     {(m1, m2): TestResult}}; the Friedman entry is None with fewer than
@@ -214,10 +214,9 @@ def compare_models(rows: dict, method: str = "auto") -> dict:
     """
     models = sorted(rows)
     matrix = score_matrix(rows)
-    friedman = friedman_test(matrix, method=method) if len(models) >= 3 else None
+    friedman = friedman_test(matrix) if len(models) >= 3 else None
     pairwise = {}
     for i, m1 in enumerate(models):
         for m2 in models[i + 1:]:
-            pairwise[(m1, m2)] = wilcoxon_signed_rank(matrix[:, i], matrix[:, models.index(m2)],
-                                                      method=method)
+            pairwise[(m1, m2)] = wilcoxon_signed_rank(matrix[:, i], matrix[:, models.index(m2)])
     return {"models": models, "friedman": friedman, "pairwise": pairwise}

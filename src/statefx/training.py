@@ -38,31 +38,36 @@ def loss_mse(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.mean((y - y_hat) ** 2))
 
 
+# The fixed protocol: lr = initial_lr * DECAY_BASE^e, global gradient norm
+# clipped to CLIP_NORM, and Adam with the usual moments and epsilon.
+DECAY_BASE = 0.25
+DECAY_EVERY = 50
+DECAY_MODES = ("staged", "literal")
+CLIP_NORM = 1.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     """Optimization protocol: Adam, clipped gradients, decayed rate, early stop.
 
-    ``decay_mode`` selects how the exponential schedule lr = LR * base^e is
-    applied: "staged" advances e once every ``decay_every`` epochs (default,
-    keeps 200-epoch runs alive), "literal" advances it every epoch.
+    ``decay_mode`` selects how the exponential schedule lr = LR * DECAY_BASE^e
+    is applied: "staged" advances e once every ``DECAY_EVERY`` epochs
+    (default, keeps 200-epoch runs alive), "literal" advances it every epoch.
     """
 
     initial_lr: float = 3e-4
-    decay_base: float = 0.25
     decay_mode: str = "staged"
-    decay_every: int = 50
     max_epochs: int = 200
     patience: int = 10
     segment_len: int = 2400
     batch_size: int = 32
-    clip_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.decay_mode not in ("staged", "literal"):
-            raise InputError(f"decay_mode must be 'staged' or 'literal', got {self.decay_mode!r}")
-        for name in ("initial_lr", "decay_base", "decay_every", "max_epochs",
-                     "segment_len", "batch_size", "clip_norm"):
+        if self.decay_mode not in DECAY_MODES:
+            raise InputError(f"decay_mode must be one of {DECAY_MODES}, got {self.decay_mode!r}")
+        for name in ("initial_lr", "max_epochs", "segment_len", "batch_size"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise InputError(f"TrainConfig.{name} must be positive and finite")
         if self.patience < 0:
@@ -73,8 +78,8 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Learning rate for a 0-based epoch index under cfg's decay mode."""
     if epoch < 0:
         raise InputError("epoch must be >= 0")
-    e = epoch if cfg.decay_mode == "literal" else epoch // cfg.decay_every
-    return cfg.initial_lr * cfg.decay_base ** e
+    e = epoch if cfg.decay_mode == "literal" else epoch // DECAY_EVERY
+    return cfg.initial_lr * DECAY_BASE ** e
 
 
 @dataclass
@@ -157,11 +162,11 @@ def grad_global_norm(grads: GradientSet) -> float:
     return float(np.sqrt(sum(float(np.sum(v * v)) for v in grads.values())))
 
 
-def clip_grad_norm(grads: GradientSet, max_norm: float = 1.0) -> GradientSet:
-    """Scale all gradients (in place) so the global L2 norm is <= max_norm."""
+def clip_grad_norm(grads: GradientSet) -> GradientSet:
+    """Scale all gradients (in place) so the global L2 norm is <= CLIP_NORM."""
     norm = grad_global_norm(grads)
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for v in grads.values():
             v *= scale
     return grads
@@ -179,18 +184,17 @@ class AdamState:
                    v={k: np.zeros_like(p) for k, p in model.params.items()})
 
 
-def adam_update(params: dict, grads: GradientSet, moments: AdamState, lr: float,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_update(params: dict, grads: GradientSet, moments: AdamState, lr: float) -> None:
     """One bias-corrected Adam step, updating params in place."""
     moments.t += 1
     t = moments.t
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for k, p in params.items():
         gk = grads[k]
-        moments.m[k] = beta1 * moments.m[k] + (1.0 - beta1) * gk
-        moments.v[k] = beta2 * moments.v[k] + (1.0 - beta2) * gk * gk
-        p -= lr * (moments.m[k] / bc1) / (np.sqrt(moments.v[k] / bc2) + eps)
+        moments.m[k] = ADAM_BETA1 * moments.m[k] + (1.0 - ADAM_BETA1) * gk
+        moments.v[k] = ADAM_BETA2 * moments.v[k] + (1.0 - ADAM_BETA2) * gk * gk
+        p -= lr * (moments.m[k] / bc1) / (np.sqrt(moments.v[k] / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +302,7 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
                     except (NumericError, StabilityError) as e:
                         history.stop_epoch = epoch
                         raise TrainingDivergedError(str(e), history) from None
-                    clip_grad_norm(grads, cfg.clip_norm)
+                    clip_grad_norm(grads)
                     adam_update(model.params, grads, moments, lr)
                     total_loss += loss
                     n_updates += 1
@@ -341,14 +345,14 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
 # ---------------------------------------------------------------------------
 
 def finite_difference_audit(model: Model, segment, target, p=None, eps: float = 1e-6,
-                            max_coords_per_param: int | None = None, seed: int = 0):
+                            max_coords_per_param: int | None = None):
     """Compare backward_segment to central finite differences.
 
-    Perturbs every trainable scalar (or a random subset per array when
-    ``max_coords_per_param`` caps it) by +/- eps and differentiates the
-    segment MSE.  Relative error uses max(|g_fd|, |g_an|, 1e-6) in the
-    denominator so structurally-zero gradients report exactly 0.  Returns
-    (max relative error, {param: worst error}).
+    Perturbs every trainable scalar (or a subset per array, drawn from a
+    fixed seed, when ``max_coords_per_param`` caps it) by +/- eps and
+    differentiates the segment MSE.  Relative error uses max(|g_fd|,
+    |g_an|, 1e-6) in the denominator so structurally-zero gradients
+    report exactly 0.  Returns (max relative error, {param: worst error}).
     """
     x = np.asarray(segment, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
@@ -362,7 +366,7 @@ def finite_difference_audit(model: Model, segment, target, p=None, eps: float = 
         return loss_mse(t, model._forward_full(state0, x, pn)[0])
 
     _, grads, _ = backward_segment(model, state0, x, t, pn)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst: dict[str, float] = {}
     for name, arr in model.params.items():
         flat = arr.reshape(-1)

@@ -37,9 +37,9 @@ def hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_mag_oracle(signal, window_size, hop, window="hann"):
+def stft_mag_oracle(signal, window_size, hop):
     n_frames = (len(signal) - window_size) // hop + 1
-    w = hann(window_size) if window == "hann" else np.ones(window_size)
+    w = hann(window_size)
     half = dft_matrix(window_size)[:window_size // 2 + 1]
     frames = np.stack([signal[f * hop:f * hop + window_size] * w for f in range(n_frames)])
     return np.abs(frames.astype(np.complex128) @ half.T)

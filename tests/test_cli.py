@@ -8,6 +8,7 @@ from statefx import cli
 from statefx.data import load_dataset, load_wav, save_wav
 from statefx.metrics import MetricReport, write_report_csv
 from statefx.model import Checkpoint, Model, ModelConfig
+from statefx.training import TrainConfig
 
 RNG = np.random.default_rng(3)
 
@@ -136,8 +137,13 @@ def _edit_header(path, edit):
     lambda ls: ls + ["array="],
     lambda ls: [(line + " x" if line.startswith("array=proj.W") else line) for line in ls],
     lambda ls: [(line.replace(" ", " -") if line.startswith("array=proj.W") else line) for line in ls],
+    # 384 * (2^57 + 1) wraps to 384 in int64, the true byte count of proj.W
+    lambda ls: [("array=proj.W 384 144115188075855873" if line.startswith("array=proj.W") else line)
+                for line in ls],
+    # holds no bytes, but numpy cannot index a 2^70 dimension
+    lambda ls: ls + ["array=history.extra 0 1180591620717411303424"],
 ], ids=["version", "no-arch", "no-config-key", "bad-int", "unknown-arch", "empty-array",
-        "bad-dim", "negative-dim"])
+        "bad-dim", "negative-dim", "wrapping-size", "huge-dim"])
 def test_eval_malformed_checkpoint_format_error(dataset_dir, tmp_path, capsys, edit):
     ckpt = tmp_path / "m.sfx"
     Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1), seed=0)).save(ckpt)
@@ -197,10 +203,10 @@ def test_render_bad_params_input_error(tmp_path, capsys, params):
 
 
 @pytest.mark.parametrize("row", ["0,abc,0.5", "0,nan,0.5", "inf,0.5,0.5", "50.5,0.5,0.5",
-                                 "", "0,0.5"])
+                                 "", "0,0.5", b"0,\xff\xfe,0.5"])
 def test_render_bad_schedule_cell_format_error(tmp_path, capsys, row):
     sched = tmp_path / "sched.csv"
-    sched.write_text(f"sample,p0,p1\n{row}\n")
+    sched.write_bytes(b"sample,p0,p1\n" + (row if isinstance(row, bytes) else row.encode()) + b"\n")
     assert run(_render_inputs(tmp_path) + ["--params-csv", str(sched)]) == cli.EXIT_FORMAT
     err = capsys.readouterr().err
     assert err.startswith("format error:") and str(sched) in err and "Traceback" not in err
@@ -226,6 +232,43 @@ def test_render_missing_checkpoint_file_error(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("file error:") and "missing.sfx" in err and "Traceback" not in err
+
+
+def test_directory_as_file_error(tmp_path, capsys):
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
+    for argv in (["render", "--checkpoint", str(tmp_path), "--input", str(wav_in),
+                  "--params", "0.5", "--out", str(tmp_path / "o.wav")],
+                 ["compare", str(tmp_path), "--out", str(tmp_path / "c")]):
+        assert run(argv) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "Traceback" not in err
+    assert not (tmp_path / "o.wav").exists() and not (tmp_path / "c").exists()
+
+
+def test_dataset_empty_instrument_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.wav"
+    save_wav(empty, np.zeros(0))
+    out = tmp_path / "d"
+    code = run(["dataset", "--effect", "identity", "--duration", "0.5",
+                "--instrument", str(empty), "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(empty) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_defaults_are_train_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--arch", "lru", "--dataset", "d",
+                                          "--composition", "1", "--out", "o"])
+    cfg = TrainConfig()
+    assert args.lr == cfg.initial_lr
+    assert args.max_epochs == cfg.max_epochs
+    assert args.patience == cfg.patience
+    assert args.segment_len == cfg.segment_len
+    assert args.batch_size == cfg.batch_size
+    assert args.decay_mode == cfg.decay_mode
+    assert args.seed == cfg.seed
 
 
 @pytest.mark.parametrize("flag", [["--vary", "drive=abc"], ["--vary", "drive=nan"],
@@ -423,10 +466,11 @@ def test_compare_ragged_inputs_error(tmp_path):
 
 @pytest.mark.parametrize("text", ["model,dataset,mse\na,fx,0.5\n",
                                   "model,dataset,split,mse,esr,nrmse,m_sf,m_stft\n"
-                                  "a,fx,mean,abc,1,1,1,1\n"])
+                                  "a,fx,mean,abc,1,1,1,1\n",
+                                  b"model,dataset,split,mse\n\xff\xfe,fx,mean,0.5\n"])
 def test_compare_malformed_eval_csv_format_error(tmp_path, capsys, text):
     path = tmp_path / "eval_a_c0.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = run(["compare", str(path), "--out", str(tmp_path / "c")])
     err = capsys.readouterr().err
     assert code == cli.EXIT_FORMAT

@@ -49,8 +49,7 @@ def test_signal_deterministic_by_seed():
 def test_sweep_ridge_monotonic():
     x = generate_input_signal(duration=20.0, seed=0)
     sweep = x[:int(0.33 * len(x))]  # inside the sweep section
-    spec = stft_mag(sweep, 2048, 1024)
-    peaks = np.argmax(spec.magnitudes, axis=1)
+    peaks = np.argmax(stft_mag(sweep, 2048, 1024), axis=1)
     # below ~4 bins the 23 Hz bin spacing cannot resolve the 20 Hz start;
     # from there on the ridge must never descend
     resolved = np.flatnonzero(peaks >= 4)[0]
@@ -192,7 +191,7 @@ def test_dataset_determinism():
 
 def _split_fixture(duration=45.0):
     recs = build_dataset(get_effect("identity"), [{}], seed=1, duration=duration)
-    return recs, make_split_compositions(recs, n=5)
+    return recs, make_split_compositions(recs)
 
 
 def test_split_proportions_and_disjointness():

@@ -46,7 +46,7 @@ def test_lr_schedule_literal_formula():
     assert lr_at_epoch(cfg, 2) == pytest.approx(1.875e-5)
 
 
-@pytest.mark.parametrize("field", ["initial_lr", "decay_base", "clip_norm"])
+@pytest.mark.parametrize("field", ["initial_lr", "segment_len", "batch_size"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_train_config_rejects_nonpositive_or_nonfinite(field, value):
     with pytest.raises(InputError, match=field):
@@ -201,27 +201,27 @@ def test_backward_segment_nonfinite_loss_raises():
 
 def test_clip_below_threshold_unchanged():
     g = {"a": np.array([0.3, 0.4])}  # norm 0.5
-    out = clip_grad_norm(g, 1.0)
+    out = clip_grad_norm(g)
     assert np.array_equal(out["a"], [0.3, 0.4])
 
 
 def test_clip_scales_to_unit_norm():
     g = {"a": np.array([1.2, 1.6])}  # norm 2.0
-    clip_grad_norm(g, 1.0)
+    clip_grad_norm(g)
     assert abs(grad_global_norm(g) - 1.0) < 1e-12
     assert np.allclose(g["a"], [0.6, 0.8])
 
 
 def test_clip_zero_gradients_unchanged():
     g = {"a": np.zeros(3), "b": np.zeros((2, 2))}
-    clip_grad_norm(g, 1.0)
+    clip_grad_norm(g)
     assert grad_global_norm(g) == 0.0
 
 
 def test_clip_invariant_random():
     for _ in range(20):
         g = {"a": RNG.normal(size=17) * 10, "b": RNG.normal(size=(3, 5)) * 10}
-        clip_grad_norm(g, 1.0)
+        clip_grad_norm(g)
         assert grad_global_norm(g) <= 1.0 + 1e-12
 
 
@@ -257,7 +257,7 @@ def test_adam_determinism():
 
 def _identity_split(duration=2.5, seed=0):
     recs = build_dataset(get_effect("identity"), [{}], seed=seed, duration=duration)
-    comp = make_split_compositions(recs, n=5)[0]
+    comp = make_split_compositions(recs)[0]
     tr, va, _ = resolve_composition(recs, comp)
     return TrainSplit(tr, va)
 
