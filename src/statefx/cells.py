@@ -180,18 +180,27 @@ class SsmState:
     h: np.ndarray  # (12,)
 
 
-def diag_lti_step(w, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:
-    """One LRU or S4D update: the equations of ``DiagLti`` with (lam, s)
-    from ``w.coeffs()`` and the field names from ``w.LTI``."""
+def diag_lti_constants(w) -> tuple:
+    """(lam, s, M, b, C) of one LRU or S4D layer, each built once from the
+    weights: (lam, s) from ``w.coeffs()``, the complex fields named by
+    ``w.LTI``, and b None when the layer has no input bias."""
     lti = w.LTI
-    M = complex_field(w, lti.M)
-    u = _check_vec("u", u, M.shape[1])
     lam, s = w.coeffs()
+    b = complex_field(w, lti.b) if lti.b else None
+    return lam, s, complex_field(w, lti.M), b, complex_field(w, lti.C)
+
+
+def diag_lti_step(w, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:
+    """One LRU or S4D update: the equations of ``DiagLti`` with the
+    constants of ``diag_lti_constants``."""
+    lti = w.LTI
+    lam, s, M, b, C = diag_lti_constants(w)
+    u = _check_vec("u", u, M.shape[1])
     pre = (s[:, None] * M) @ u
-    if lti.b:
-        pre += complex_field(w, lti.b)
+    if b is not None:
+        pre += b
     h = lam * state.h + pre
-    o = np.real(complex_field(w, lti.C) @ h)
+    o = np.real(C @ h)
     if lti.D:
         o = o + getattr(w, lti.D) * u
     if lti.b_o:
@@ -225,14 +234,12 @@ class LruWeights:
     LTI = DiagLti(M="U", C="W", b="b", b_o="b_o")
 
     def lam(self) -> np.ndarray:
-        return np.exp(-np.exp(self.nu) + 1j * self.theta)
-
-    def gamma(self) -> np.ndarray:
-        return np.sqrt(1.0 - np.exp(-2.0 * np.exp(self.nu)))
+        return self.coeffs()[0]
 
     def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal-LTI coefficients (lambda, s): the input map is s * U."""
-        return self.lam(), self.gamma()
+        """Diagonal-LTI coefficients (lambda, gamma): the input map is gamma * U."""
+        e_nu = np.exp(self.nu)
+        return np.exp(-e_nu + 1j * self.theta), np.sqrt(1.0 - np.exp(-2.0 * e_nu))
 
     def coeffs_vjp(self, lam, gamma, g_lam, g_gamma) -> dict[str, np.ndarray]:
         """Field gradients from the packed gradients of coeffs()'s (lambda, gamma)."""

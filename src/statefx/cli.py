@@ -153,6 +153,13 @@ def cmd_eval(args) -> int:
     model = ckpt.to_model()
     recs, meta, _, _, test_s = _load_split(args.dataset, args.composition)
     check_dataset_compat(model, meta["cond_dim"], meta["sample_rate"])
+    # checked before any forward pass: the metrics reject a short span only at the end
+    lens = [len(s.y) for s in test_s]
+    if lens and min(lens) < metrics.MIN_SIGNAL_LEN:
+        i = lens.index(min(lens))
+        raise InputError(f"test span comp{args.composition}/rec{i} holds {lens[i]} samples; "
+                         f"the metrics need at least {metrics.MIN_SIGNAL_LEN} (recordings of about "
+                         f"{10 * metrics.MIN_SIGNAL_LEN / meta['sample_rate']:.2g} s or more)")
     dataset_name = meta["effect"]
     _, _, preds = training.evaluate_streams(model, test_s)
     reports = [metrics.compute_report(s.y, y_hat, model=model.config.architecture,
@@ -233,6 +240,18 @@ def cmd_render(args) -> int:
 # benchmark
 # ---------------------------------------------------------------------------
 
+BENCHMARK_BUFFERS = (32, 128, 512)  # plugin buffer sizes timed beside the whole file
+
+
+def _stream_seconds(model, x, p, buffer: int) -> float:
+    """Wall time to stream ``x`` from fresh state, one forward_segment call per buffer."""
+    state = model.init_state(1)
+    t0 = time.perf_counter()
+    for a in range(0, len(x), buffer):
+        _, state = model.forward_segment(state, x[a:a + buffer], p)
+    return time.perf_counter() - t0
+
+
 def cmd_benchmark(args) -> int:
     started = time.time()
     if args.checkpoint:
@@ -248,16 +267,14 @@ def cmd_benchmark(args) -> int:
     p = np.full(cfg.cond_dim, 0.5) if cfg.cond_dim else None
     state = model.init_state(1)
     model.forward_segment(state, x[:fs // 10], p)  # warm-up
-    state = model.init_state(1)
-    t0 = time.perf_counter()
-    model.forward_segment(state, x, p)
-    elapsed = time.perf_counter() - t0
-    sps = len(x) / elapsed
+    sps = len(x) / _stream_seconds(model, x, p, len(x))
     fl = model.count_flops()
     lines = {
         "architecture": cfg.architecture,
         "samples_per_second": round(sps),
         "real_time_factor_48k": sps / fs,
+        "real_time_factor_48k_by_buffer": {
+            str(n): len(x) / _stream_seconds(model, x, p, n) / fs for n in BENCHMARK_BUFFERS},
         "algorithmic_latency_samples": cells.WINDOW_LEN,
         "algorithmic_latency_ms": cells.WINDOW_LEN / fs * 1000.0,
         "trainable_parameters": model.count_params(),

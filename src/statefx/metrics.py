@@ -25,6 +25,7 @@ from .numerics import MAG_FLOOR, stft_mag
 SF_WINDOW = 2048
 SF_HOP = 512
 MULTIRES_WINDOWS = (256, 512, 1024)
+MIN_SIGNAL_LEN = 2 * SF_WINDOW  # shortest signal every metric accepts: two spectral-flux frames
 
 
 def _pair(y, y_hat):
@@ -69,8 +70,8 @@ def spectral_flux_metric(y, y_hat) -> float:
     sample-domain averages wash out still register.
     """
     y, y_hat = _pair(y, y_hat)
-    if y.shape[0] < 2 * SF_WINDOW:
-        raise InputError(f"signals must hold at least {2 * SF_WINDOW} samples "
+    if y.shape[0] < MIN_SIGNAL_LEN:
+        raise InputError(f"signals must hold at least {MIN_SIGNAL_LEN} samples "
                          f"for two {SF_WINDOW}-sample frames")
     my = stft_mag(y, SF_WINDOW, SF_HOP)
     mh = stft_mag(y_hat, SF_WINDOW, SF_HOP)

@@ -42,7 +42,6 @@ from .cells import (
     WINDOW_LEN,
     LstmState,
     SsmState,
-    complex_field,
     softplus,
 )
 from .errors import (
@@ -55,6 +54,7 @@ from .numerics import sigmoid, softsign
 
 POST_UNITS = 4          # every variant reduces to 4 before conditioning
 HIST_LEN = WINDOW_LEN - 1
+MAX_COND_DIM = 64       # conditioning parameters FiLM reads; the largest oracle effect has 3
 
 # Per-sample FLOPs reported in the reference comparison, used only as
 # calibration constants for count_flops (see FLOPS_CONVENTION).
@@ -74,7 +74,8 @@ FLOPS_CONVENTION = "mac1-act6"
 
 @dataclass
 class ModelConfig:
-    """Architecture choice plus conditioning size and sample rate."""
+    """Architecture choice plus conditioning size (0 to ``MAX_COND_DIM``)
+    and sample rate."""
 
     architecture: str
     cond_dim: int = 0
@@ -83,8 +84,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise InputError(f"unknown architecture {self.architecture!r}; expected one of {ARCHITECTURES}")
-        if self.cond_dim < 0:
-            raise InputError("cond_dim must be >= 0")
+        if not 0 <= self.cond_dim <= MAX_COND_DIM:
+            raise InputError(f"cond_dim must lie in [0, {MAX_COND_DIM}], got {self.cond_dim}")
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,8 +112,9 @@ class ConditioningBlock:
 
 
 def _check_unit_range(p: np.ndarray) -> None:
-    # written so that NaN fails too
-    if not np.all((p >= 0.0) & (p <= 1.0)):
+    # NaN propagates through min/max and fails both comparisons; an empty
+    # array has no extremes and nothing to reject
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise InputError("conditioning parameters must lie in [0, 1]")
 
 
@@ -310,14 +312,13 @@ class Model:
         if p is None:
             raise InputError(f"model expects {P} conditioning parameters, got none")
         p = np.asarray(p, dtype=np.float64)
-        if p.ndim == 1 and p.shape == (P,):
-            p = np.broadcast_to(p, (batch, P)).copy()
-        elif p.ndim == 2 and p.shape == (batch, P):
+        shape = p.shape
+        if shape == (P,):
+            p = p[None].repeat(batch, 0)
+        elif shape == (batch, P) or shape == (batch, length, P):
             pass
-        elif p.ndim == 2 and p.shape == (length, P) and batch == 1:
-            p = p[None, :, :]
-        elif p.ndim == 3 and p.shape == (batch, length, P):
-            pass
+        elif shape == (length, P) and batch == 1:
+            p = p[None]
         else:
             raise DimensionError(f"conditioning shape {p.shape} incompatible with P={P}, batch={batch}")
         _check_unit_range(p)
@@ -398,11 +399,9 @@ class Model:
         ys = []
         cur = state
         for start in range(0, L, chunk):
-            sl = slice(start, min(start + chunk, L))
-            pc = pfull
-            if pfull is not None and pfull.ndim == 3:
-                pc = pfull[:, sl, :]
-            y, cur = self._forward_full(cur, x[:, sl], pc)[:2]
+            sl = slice(start, start + chunk)
+            pc = pfull[:, sl] if pfull is not None and pfull.ndim == 3 else pfull
+            y, cur, _ = self._forward_full(cur, x[:, sl], pc)
             ys.append(y)
         y = np.concatenate(ys, axis=1) if len(ys) > 1 else ys[0]
         return (y[0], cur) if squeeze else (y, cur)
@@ -419,8 +418,12 @@ class Model:
         prm = self.params
 
         ext = np.concatenate([state["hist"], x], axis=1)
-        # newest-first 64-sample windows, a (B, L, 64) view: win[:, n, 0] is sample n
-        win = np.lib.stride_tricks.sliding_window_view(ext, WINDOW_LEN, axis=1)[:, :, ::-1]
+        B, L = x.shape
+        # newest-first 64-sample windows, a (B, L, 64) view: win[:, n, k] is
+        # ext[:, HIST_LEN + n - k], so win[:, n, 0] is sample n.  An empty
+        # batch has no memory to offset into.
+        win = np.ndarray((B, L, WINDOW_LEN), ext.dtype, ext, HIST_LEN * ext.itemsize * (B > 0),
+                         (ext.strides[0], ext.itemsize, -ext.itemsize))
         u_seq = win[:, :, :spec.proj_window] @ prm["proj.W"].T + prm["proj.b"]
 
         o_rec, rec_state, scan_pullback = spec.scan(self, state, u_seq, win)
@@ -531,14 +534,12 @@ class Model:
         arch = self.config.architecture
         w = self.weights(arch)
         lti = w.LTI
-        lam, s = w.coeffs()
-        M = complex_field(w, lti.M)
+        lam, s, M, b, C = cells.diag_lti_constants(w)
         Bbar = s[:, None] * M
         pre = Bbar @ u_seq.transpose(0, 2, 1)
-        if lti.b:
-            pre += complex_field(w, lti.b)[:, None]
+        if b is not None:
+            pre += b[:, None]
         H = scans.diag_scan(state["h"], lam, pre.transpose(0, 2, 1))
-        C = complex_field(w, lti.C)
         o_rec = np.real(H @ C.T)
         if lti.D:
             o_rec = o_rec + getattr(w, lti.D) * u_seq

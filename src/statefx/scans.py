@@ -118,9 +118,14 @@ def lstm_backward(W, d_orec, zin, H, C, h0, c0, ch=None, cc=None):
 # each lane's L steps are contiguous: x.transpose(0, 2, 1) C-contiguous.
 # Callers that build pre / gh_read that way get the result written in place.
 
-def _lane_major(x, dtype):
-    """(B, n, L) C-contiguous view of a (B, L, n) array; copies only if needed."""
-    return np.ascontiguousarray(x.transpose(0, 2, 1), dtype=dtype)
+def _lane_major(x, *others):
+    """(B, n, L) C-contiguous view of a (B, L, n) array, in the result dtype of
+    x and ``others``; copies only if needed.  Lane-major complex128 is taken
+    as it is, since no operand here promotes it further."""
+    xt = x.transpose(0, 2, 1)
+    if xt.dtype == np.complex128 and xt.flags.c_contiguous:
+        return xt
+    return np.ascontiguousarray(xt, np.result_type(x, *others))
 
 
 def _solve(mults, rhs, trans):
@@ -142,8 +147,8 @@ def _solve(mults, rhs, trans):
     # Xeon (22 ms against 1.2 ms at B=3, L=2400).  A vectorized numpy loop
     # ends with vzeroupper, which clears that state.
     np.add(np.zeros(64), 0.0)
-    _, info = tbtrs(band.reshape(-1, kd + 1).T, rhs.reshape(-1, 1), uplo="L", trans=trans,
-                    diag="U", overwrite_b=1)
+    # positional (uplo, trans, diag, overwrite_b): f2py parses keywords slower
+    _, info = tbtrs(band.reshape(-1, kd + 1).T, rhs.reshape(-1, 1), "L", trans, "U", 1)
     if info != 0:
         raise NumericError(f"banded triangular solve failed (info={info})")
 
@@ -168,7 +173,7 @@ def diag_scan(h0, a, pre):
     is written over it.
     """
     a_0, a_rest = _lanes(a)
-    P = _lane_major(pre, np.result_type(h0, a, pre))
+    P = _lane_major(pre, h0, a)
     P[..., 0] += a_0 * h0
     _solve([a_rest], P, "N")
     return P.transpose(0, 2, 1)
@@ -183,7 +188,7 @@ def diag_scan_backward(gh_read, H, h0, a):
     summed over batch and time for a constant multiplier, per step
     otherwise.  Complex gradients are packed (dL/dRe + i dL/dIm).
     """
-    G = _lane_major(gh_read, np.result_type(gh_read, H, a))
+    G = _lane_major(gh_read, H, a)
     _solve([_lanes(a)[1]], G, "C")
     Hl = H.transpose(0, 2, 1)
     if a.ndim == 1:

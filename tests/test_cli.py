@@ -95,6 +95,9 @@ def test_train_eval_render_benchmark_cycle(dataset_dir, tmp_path):
                 "--out", str(bench_dir)]) == 0
     report = json.loads((bench_dir / "benchmark.json").read_text())
     assert report["algorithmic_latency_samples"] == 64
+    rtf = report["real_time_factor_48k_by_buffer"]
+    assert sorted(rtf, key=int) == ["32", "128", "512"]
+    assert all(np.isfinite(v) and v > 0 for v in rtf.values())
     assert report["trainable_parameters"] == 817 - 24 + 16  # s4d with P=1
     assert report["flops_per_sample"] <= 1500
 
@@ -297,6 +300,34 @@ def test_benchmark_bad_seconds_input_error(tmp_path, capsys, seconds):
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_benchmark_huge_cond_dim_input_error(capsys):
+    # rejected by ModelConfig before the FiLM weights (8 x 1e11 floats) are allocated
+    code = run(["benchmark", "--cond-dim", "100000000000"])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cond_dim" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:no low-energy split point")  # 0.2 s recordings have none
+def test_eval_short_recordings_rejected_before_forward_pass(tmp_path, capsys, monkeypatch):
+    ds = tmp_path / "short"
+    assert run(["dataset", "--effect", "waveshaper_overdrive", "--vary", "drive=2",
+                "--duration", "0.2", "--seed", "0", "--out", str(ds)]) == 0
+    ckpt = tmp_path / "ck.sfx"
+    Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1))).save(ckpt)
+
+    def forward_pass(*args):
+        raise AssertionError("evaluate_streams ran before the span check")
+
+    monkeypatch.setattr(cli.training, "evaluate_streams", forward_pass)
+    code = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--composition", "1",
+                "--out", str(tmp_path / "ev")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "comp1/rec0 holds 960 samples" in err and "at least 4096" in err
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

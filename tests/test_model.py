@@ -90,6 +90,38 @@ def test_nan_conditioning_rejected_by_both_routes():
         m.forward_sample(m.init_state(1), np.zeros(64), p)
 
 
+def _p_in_shape(shape, B, L, P, bad):
+    """Conditioning values in the given accepted shape with one entry set to ``bad``."""
+    dims = {"(P,)": (P,), "(B, P)": (B, P), "(L, P)": (L, P), "(B, L, P)": (B, L, P)}[shape]
+    p = np.full(dims, 0.5)
+    p.flat[-1] = bad
+    return p
+
+
+@pytest.mark.parametrize("shape", ["(P,)", "(B, P)", "(L, P)", "(B, L, P)"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+def test_conditioning_out_of_range_rejected_in_every_shape(shape, bad):
+    m = make_model("lru", cond_dim=2)
+    B = 1 if shape == "(L, P)" else 2
+    L = 32
+    good = _p_in_shape(shape, B, L, 2, 0.5)
+    y, _ = m.forward_segment(m.init_state(B), np.zeros((B, L)), good)
+    assert y.shape == (B, L)
+    with pytest.raises(InputError):
+        m.forward_segment(m.init_state(B), np.zeros((B, L)), _p_in_shape(shape, B, L, 2, bad))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_forward_segment_empty_batch_keeps_state(arch):
+    m = make_model(arch, cond_dim=2, seed=2)
+    state = m.init_state(0)
+    y, new_state = m.forward_segment(state, np.zeros((0, 32)), np.array([0.3, 0.6]))
+    assert y.shape == (0, 32)
+    assert new_state.keys() == state.keys()
+    assert all(new_state[k].shape == v.shape and new_state[k].dtype == v.dtype
+               for k, v in state.items())
+
+
 def test_p0_outputs_ignore_supplied_p():
     m = make_model("lru", cond_dim=0)
     x = RNG.uniform(-1, 1, 500)
@@ -203,6 +235,23 @@ def test_split_equivalence_arbitrary_boundaries(arch):
         y, state = m.forward_segment(state, x[a:b])
         pieces.append(y)
     assert np.max(np.abs(np.concatenate(pieces) - y_full)) < 1e-12
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_batched_split_equivalence_plugin_buffers(arch):
+    # buffers shorter than, equal to and longer than the 63-sample history,
+    # back to back, with each lane on its own static conditioning
+    m = make_model(arch, cond_dim=2, seed=6)
+    x = RNG.uniform(-1, 1, (2, 400))
+    p = np.array([[0.1, 0.8], [0.9, 0.35]])
+    y_full, _ = m.forward_segment(m.init_state(2), x, p)
+    state = m.init_state(2)
+    pieces = []
+    edges = np.minimum(np.cumsum([0] + [1, 32, 63, 64, 65] * 2), 400)  # the last buffer holds 15
+    for a, b in zip(edges[:-1], edges[1:]):
+        y, state = m.forward_segment(state, x[:, a:b], p)
+        pieces.append(y)
+    assert np.max(np.abs(np.concatenate(pieces, axis=1) - y_full)) < 1e-12
 
 
 def test_forward_segment_length_one_equals_forward_sample():
