@@ -90,25 +90,17 @@ def test_nan_conditioning_rejected_by_both_routes():
         m.forward_sample(m.init_state(1), np.zeros(64), p)
 
 
-def _p_in_shape(shape, B, L, P, bad):
-    """Conditioning values in the given accepted shape with one entry set to ``bad``."""
-    dims = {"(P,)": (P,), "(B, P)": (B, P), "(L, P)": (L, P), "(B, L, P)": (B, L, P)}[shape]
-    p = np.full(dims, 0.5)
-    p.flat[-1] = bad
-    return p
-
-
-@pytest.mark.parametrize("shape", ["(P,)", "(B, P)", "(L, P)", "(B, L, P)"])
+@pytest.mark.parametrize("axes", ["P", "BP", "LP", "BLP"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
-def test_conditioning_out_of_range_rejected_in_every_shape(shape, bad):
+def test_conditioning_out_of_range_rejected_in_every_shape(axes, bad):
+    B, L = (1 if axes == "LP" else 2), 32  # (L, P) is accepted at B = 1 only
+    p = np.full(tuple({"B": B, "L": L, "P": 2}[a] for a in axes), 0.5)
     m = make_model("lru", cond_dim=2)
-    B = 1 if shape == "(L, P)" else 2
-    L = 32
-    good = _p_in_shape(shape, B, L, 2, 0.5)
-    y, _ = m.forward_segment(m.init_state(B), np.zeros((B, L)), good)
+    y, _ = m.forward_segment(m.init_state(B), np.zeros((B, L)), p)
     assert y.shape == (B, L)
+    p.flat[-1] = bad
     with pytest.raises(InputError):
-        m.forward_segment(m.init_state(B), np.zeros((B, L)), _p_in_shape(shape, B, L, 2, bad))
+        m.forward_segment(m.init_state(B), np.zeros((B, L)), p)
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
