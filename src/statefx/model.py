@@ -417,8 +417,10 @@ class Model:
         spec = ARCH[cfg.architecture]
         prm = self.params
 
-        ext = np.concatenate([state["hist"], x], axis=1)
         B, L = x.shape
+        if state["hist"].shape != (B, HIST_LEN):  # the window view reads exactly this much
+            raise DimensionError(f"state history {state['hist'].shape} != ({B}, {HIST_LEN})")
+        ext = np.concatenate([state["hist"], x], axis=1)
         # newest-first 64-sample windows, a (B, L, 64) view: win[:, n, k] is
         # ext[:, HIST_LEN + n - k], so win[:, n, 0] is sample n.  An empty
         # batch has no memory to offset into.

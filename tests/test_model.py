@@ -114,6 +114,15 @@ def test_forward_segment_empty_batch_keeps_state(arch):
                for k, v in state.items())
 
 
+@pytest.mark.parametrize("hist_len", [HIST_LEN - 1, HIST_LEN + 17])
+def test_state_history_of_wrong_length_rejected(hist_len):
+    m = make_model("lru", cond_dim=0)
+    state = m.init_state(2)
+    state["hist"] = np.zeros((2, hist_len))
+    with pytest.raises(DimensionError):
+        m.forward_segment(state, np.zeros((2, 32)))
+
+
 def test_p0_outputs_ignore_supplied_p():
     m = make_model("lru", cond_dim=0)
     x = RNG.uniform(-1, 1, 500)
