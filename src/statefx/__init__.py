@@ -9,14 +9,6 @@ and compared with rank-based significance tests.
 
 __version__ = "0.1.0"
 
-from .cells import (
-    diag_lti_step,
-    ed_encode,
-    ed_state_merge,
-    lstm_step,
-    project_input,
-    s6_step,
-)
 from .data import (
     EFFECTS,
     OracleEffect,
@@ -55,11 +47,9 @@ from .metrics import (
 from .model import (
     ARCHITECTURES,
     Checkpoint,
-    ConditioningBlock,
     FlopsBreakdown,
     Model,
     ModelConfig,
-    conditioning_apply,
 )
 from .numerics import sigmoid, softsign, stft_mag
 from .stats import TestResult, compare_models, friedman_test, wilcoxon_signed_rank

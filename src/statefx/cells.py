@@ -1,4 +1,5 @@
-"""The five recurrent layers and the shared input projection.
+"""Weight views, initialization and constants of the five recurrent layers
+and the shared input projection.
 
 Every network maps the 64 most recent input samples to one output sample.
 Windows are stored newest-first: ``window[0]`` is the current sample,
@@ -7,11 +8,12 @@ the recurrent layer's input size (4 for the LSTM family, 6 for the
 linear-recurrence family), the recurrent layer updates its state, and a
 readout hands a small vector to the rest of the network.
 
-The functions here are the single-stream reference implementations: one
-step, 1-d arrays, no batching.  LRU and S4D share ``diag_lti_step``: they
-differ only in ``coeffs()`` and in the field names their ``LTI`` attribute
-gives.  The batched segment paths in ``statefx.model`` must agree with
-them bit-for-bit up to float rounding; the test suite enforces that.
+The dataclasses here are views over a model's named parameters, the
+``init_*`` functions draw their starting values, and LRU and S4D share
+``diag_lti_constants``: they differ only in ``coeffs()`` and in the field
+names their ``LTI`` attribute gives.  The equations themselves live in
+``statefx.model``: ``Model.forward_sample`` is the per-sample reference,
+``Model.forward_segment`` the batched route.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, StabilityError
-from .numerics import sigmoid
+from .errors import StabilityError
 
 WINDOW_LEN = 64
 
@@ -36,14 +37,6 @@ SSM_IN = 6
 # window samples into an 8-vector with a kernel of 4 and stride 4.
 ED_SPLIT = 32
 ED_KERNEL = 4
-ED_STRIDE = 4
-
-
-def _check_vec(name: str, v: np.ndarray, length: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (length,):
-        raise DimensionError(f"{name} must have shape ({length},), got {v.shape}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +49,6 @@ class Projection:
 
     W: np.ndarray  # (units, window_len)
     b: np.ndarray  # (units,)
-
-
-def project_input(proj: Projection, window: np.ndarray) -> np.ndarray:
-    """u = W @ window + b for one newest-first input window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (proj.W.shape[1],):
-        raise DimensionError(f"window must have shape ({proj.W.shape[1]},), got {window.shape}")
-    return proj.W @ window + proj.b
 
 
 # ---------------------------------------------------------------------------
@@ -79,33 +64,6 @@ class LstmWeights:
     b: np.ndarray  # (32,)
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray  # (8,)
-    c: np.ndarray  # (8,)
-
-
-def lstm_step(w: LstmWeights, state: LstmState, u: np.ndarray) -> tuple[LstmState, np.ndarray]:
-    """One LSTM update.
-
-    f, i, o = sigmoid gates; c' = tanh candidate;
-    c_n = f * c_{n-1} + i * c'; h_n = o * tanh(c_n).
-    Returns the new state and h_n.
-    """
-    u = _check_vec("u", u, w.U.shape[1])
-    if not (np.all(np.isfinite(state.h)) and np.all(np.isfinite(state.c))):
-        raise NumericError("lstm_step received a non-finite state")
-    z = w.W @ state.h + w.U @ u + w.b
-    n = state.h.shape[0]
-    f = sigmoid(z[0:n])
-    i = sigmoid(z[n:2 * n])
-    o = sigmoid(z[2 * n:3 * n])
-    g = np.tanh(z[3 * n:4 * n])
-    c = f * state.c + i * g
-    h = o * np.tanh(c)
-    return LstmState(h, c), h
-
-
 # ---------------------------------------------------------------------------
 # Encoder-decoder LSTM (state sharing)
 # ---------------------------------------------------------------------------
@@ -118,31 +76,6 @@ class EdEncoder:
     bias_h: np.ndarray    # (1,)
     kernel_c: np.ndarray  # (4,)
     bias_c: np.ndarray    # (1,)
-
-
-def ed_encode(enc: EdEncoder, x_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate states [h, c] from the encoder half of the window.
-
-    ``x_e`` holds samples x_{n-32} .. x_{n-63} (newest-first).  Each map is
-    a single-channel convolution with kernel 4 and stride 4, so the eight
-    output values summarize disjoint 4-sample blocks.
-    """
-    x_e = _check_vec("x_e", x_e, ED_SPLIT)
-    blocks = x_e.reshape(-1, ED_STRIDE)
-    cand_h = blocks @ enc.kernel_h + enc.bias_h[0]
-    cand_c = blocks @ enc.kernel_c + enc.bias_c[0]
-    return cand_h, cand_c
-
-
-def ed_state_merge(prev: LstmState, cand_h: np.ndarray, cand_c: np.ndarray) -> LstmState:
-    """Gate the encoder candidates by the previous LSTM states.
-
-    new [h, c] = sigmoid([h_{n-1}, c_{n-1}]) * [cand_h, cand_c]; the result
-    becomes the state pair the LSTM uses for the current step.
-    """
-    cand_h = _check_vec("cand_h", cand_h, prev.h.shape[0])
-    cand_c = _check_vec("cand_c", cand_c, prev.c.shape[0])
-    return LstmState(sigmoid(prev.h) * cand_h, sigmoid(prev.c) * cand_c)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +106,6 @@ def complex_field(w, name: str) -> np.ndarray:
     return getattr(w, name + "_re") + 1j * getattr(w, name + "_im")
 
 
-@dataclass
-class SsmState:
-    """State vector of a diagonal SSM: complex for LRU and S4D, real for S6."""
-
-    h: np.ndarray  # (12,)
-
-
 def diag_lti_constants(w) -> tuple:
     """(lam, s, M, b, C) of one LRU or S4D layer, each built once from the
     weights: (lam, s) from ``w.coeffs()``, the complex fields named by
@@ -188,24 +114,6 @@ def diag_lti_constants(w) -> tuple:
     lam, s = w.coeffs()
     b = complex_field(w, lti.b) if lti.b else None
     return lam, s, complex_field(w, lti.M), b, complex_field(w, lti.C)
-
-
-def diag_lti_step(w, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:
-    """One LRU or S4D update: the equations of ``DiagLti`` with the
-    constants of ``diag_lti_constants``."""
-    lti = w.LTI
-    lam, s, M, b, C = diag_lti_constants(w)
-    u = _check_vec("u", u, M.shape[1])
-    pre = (s[:, None] * M) @ u
-    if b is not None:
-        pre += b
-    h = lam * state.h + pre
-    o = np.real(C @ h)
-    if lti.D:
-        o = o + getattr(w, lti.D) * u
-    if lti.b_o:
-        o = o + getattr(w, lti.b_o)
-    return SsmState(h), o
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +269,6 @@ def softplus(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     return out if out.ndim else float(out)
-
-
-def s6_step(w: S6Weights, state: SsmState, u: np.ndarray) -> tuple[SsmState, np.ndarray]:
-    """One selective-SSM update with input-dependent matrices.
-
-    The per-step (abar, bbar) come from the same zero-order-hold formula as
-    S4D, applied to the real diagonal A with the input-dependent delta_n and
-    B_n.  Readout: o_d = sum_k C_n[2d+k] h[2d+k] + D_d u_d.
-    """
-    u = _check_vec("u", u, w.W_B.shape[1])
-    a = w.a_diag()
-    delta = softplus(float(w.W_delta @ u + w.b_delta[0]))
-    b_n = w.W_B @ u + w.b_B
-    c_n = w.W_C @ u + w.b_C
-    abar = np.exp(delta * a)
-    bbar = (abar - 1.0) / a * b_n
-    u_rep = np.repeat(u, 2)
-    h = abar * state.h + bbar * u_rep
-    o = (c_n * h).reshape(-1, 2).sum(axis=1) + w.D * u
-    return SsmState(h), o
 
 
 # ---------------------------------------------------------------------------

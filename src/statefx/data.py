@@ -592,9 +592,13 @@ def load_dataset(dir_path):
     effect = get_effect(meta["effect"])
     recs = []
     for i in range(meta["combinations"]):
-        sidecar = _read_json(d / f"params_{i:03d}.json", {
-            "params_normalized": [(int, float)], "cond_labels": [str],
-            "params_physical": None, "seed": None})
+        path = d / f"params_{i:03d}.json"
+        sidecar = _read_json(path, {"params_normalized": [(int, float)], "cond_labels": [str],
+                                    "params_physical": None, "seed": None})
+        wrong = [k for k in ("params_normalized", "cond_labels")
+                 if len(sidecar[k]) != meta["cond_dim"]]
+        if wrong:
+            raise FormatError(f"{path}: {wrong} must hold cond_dim = {meta['cond_dim']} values")
         x = load_wav(d / f"input_{i:03d}.wav", meta["sample_rate"])
         y = load_wav(d / f"output_{i:03d}.wav", meta["sample_rate"])
         recs.append(Recording(

@@ -8,11 +8,12 @@ arrays and batched scan; LRU and S4D share one scan (see ``cells.DiagLti``).
 Parameter names are ``"<prefix>.<field>"`` with the fields of the
 ``statefx.cells`` weight dataclasses.
 
-Two inference routes exist on purpose.  ``forward_sample`` composes the
-single-stream step functions from ``statefx.cells`` one sample at a time.
-``forward_segment`` is the batched fast path used for training, rendering
-and benchmarking.  They must agree to float rounding; the streaming
-equivalence tests pin that down.
+Two inference routes exist on purpose.  ``forward_sample`` is the
+per-sample reference: each layer's one-step equations on 1-d arrays,
+calling nothing of the batched route.  ``forward_segment`` is the batched
+fast path used for training, rendering and benchmarking.  They must agree
+to float rounding; the streaming equivalence tests and the benchmark's
+prefix check compare them.
 
 The hand-written reverse mode sits next to the forward it reverses:
 ``Model._forward_full`` and each ``Model._scan_*`` return a pullback closed
@@ -40,8 +41,6 @@ from .cells import (
     SSM_IN,
     SSM_STATE,
     WINDOW_LEN,
-    LstmState,
-    SsmState,
     softplus,
 )
 from .errors import (
@@ -49,6 +48,7 @@ from .errors import (
     DimensionError,
     FormatError,
     InputError,
+    NumericError,
 )
 from .numerics import sigmoid, softsign
 
@@ -101,45 +101,11 @@ def _per_substate(x: np.ndarray) -> np.ndarray:
     return np.repeat(x.transpose(0, 2, 1), 2, axis=1).transpose(0, 2, 1)
 
 
-@dataclass
-class ConditioningBlock:
-    """FiLM map (absent when cond_dim = 0) followed by a softsign GLU."""
-
-    film_W: np.ndarray | None  # (8, P) or None
-    film_b: np.ndarray | None  # (8,) or None
-    glu_W: np.ndarray          # (8, 4)
-    glu_b: np.ndarray          # (8,)
-
-
 def _check_unit_range(p: np.ndarray) -> None:
     # NaN propagates through min/max and fails both comparisons; an empty
     # array has no extremes and nothing to reject
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise InputError("conditioning parameters must lie in [0, 1]")
-
-
-def conditioning_apply(cb: ConditioningBlock, o: np.ndarray, p: np.ndarray | None) -> np.ndarray:
-    """Condition a 4-vector on normalized parameters.
-
-    With parameters present: theta, eta = film(p); q = theta * o + eta;
-    then q1, q2 = glu(q) and the result is q1 * softsign(q2).  Without
-    parameters the FiLM stage is skipped and the GLU acts on ``o`` alone.
-    Parameters must lie in [0, 1].
-    """
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape != (POST_UNITS,):
-        raise DimensionError(f"o must have shape ({POST_UNITS},), got {o.shape}")
-    if cb.film_W is not None:
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (cb.film_W.shape[1],):
-            raise DimensionError(f"p must have shape ({cb.film_W.shape[1]},), got {p.shape}")
-        _check_unit_range(p)
-        z = cb.film_W @ p + cb.film_b
-        q = z[:POST_UNITS] * o + z[POST_UNITS:]
-    else:
-        q = o
-    zg = cb.glu_W @ q + cb.glu_b
-    return zg[:POST_UNITS] * softsign(zg[POST_UNITS:])
 
 
 @dataclass
@@ -277,12 +243,6 @@ class Model:
         p = self.params
         return view(*[p[n] for n in names])
 
-    def conditioning_block(self) -> ConditioningBlock:
-        if self.config.cond_dim > 0:
-            return ConditioningBlock(self.params["film.W"], self.params["film.b"],
-                                     self.params["glu.W"], self.params["glu.b"])
-        return ConditioningBlock(None, None, self.params["glu.W"], self.params["glu.b"])
-
     def check_stability(self) -> None:
         """Verify |multiplier| < 1 for the diagonal-LTI layers (LRU/S4D)."""
         arch = self.config.architecture
@@ -329,9 +289,10 @@ class Model:
     def forward_sample(self, state: dict[str, np.ndarray], window: np.ndarray, p=None):
         """One output sample from one explicit 64-sample window (newest first).
 
-        Composes the reference step functions from statefx.cells.  The
-        window history in ``state`` is neither read nor advanced here; use
-        forward_segment for stream processing.
+        The per-sample reference: every layer's one-step equations on 1-d
+        arrays, independent of the batched route.  The window history in
+        ``state`` is neither read nor advanced here; use forward_segment
+        for stream processing.
         """
         if state is None:
             raise InputError("state not initialized; call init_state() first")
@@ -341,32 +302,62 @@ class Model:
         if window.shape != (WINDOW_LEN,):
             raise DimensionError(f"window must have shape ({WINDOW_LEN},), got {window.shape}")
         P = self.config.cond_dim
-        pvec = None
         if P:
-            pvec = np.asarray(p, dtype=np.float64).reshape(-1) if p is not None else None
-            if pvec is None or pvec.shape != (P,):
+            p = np.asarray(() if p is None else p, dtype=np.float64).reshape(-1)
+            if p.shape != (P,):
                 raise DimensionError(f"p must have shape ({P},)")
+            _check_unit_range(p)
 
         arch = self.config.architecture
         spec = ARCH[arch]
+        prm = self.params
         new_state = self.copy_state(state)
-        u = cells.project_input(self.weights("proj"), window[:spec.proj_window])
+        u = prm["proj.W"] @ window[:spec.proj_window] + prm["proj.b"]
+        h = state["h"][0]
         if arch in ("lstm", "ed"):
-            st = LstmState(state["h"][0], state["c"][0])
-            if arch == "ed":
-                cand_h, cand_c = cells.ed_encode(self.weights("enc"), window[ED_SPLIT:])
-                st = cells.ed_state_merge(st, cand_h, cand_c)
-            st, o_rec = cells.lstm_step(self.weights("lstm"), st, u)
-            new_state["h"], new_state["c"] = st.h[None, :], st.c[None, :]
-        else:
-            step = cells.s6_step if arch == "s6" else cells.diag_lti_step
-            st, o_rec = step(self.weights(arch), SsmState(state["h"][0]), u)
-            new_state["h"] = st.h[None, :]
+            c = state["c"][0]
+            if arch == "ed":  # encoder maps of the oldest half, gated by the previous states
+                blocks = window[ED_SPLIT:].reshape(LSTM_UNITS, cells.ED_KERNEL)
+                h = sigmoid(h) * (blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0])
+                c = sigmoid(c) * (blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0])
+            if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
+                raise NumericError("the LSTM cell received a non-finite state")
+            z = prm["lstm.W"] @ h + prm["lstm.U"] @ u + prm["lstm.b"]  # gates f, i, o; candidate
+            f, i, o = sigmoid(z[:3 * LSTM_UNITS]).reshape(3, LSTM_UNITS)
+            c = f * c + i * np.tanh(z[3 * LSTM_UNITS:])
+            h = o_rec = o * np.tanh(c)
+            new_state["c"] = c[None, :]
+        elif arch == "s6":  # zero-order hold with the input's step size; two substates per channel
+            w = self.weights("s6")
+            a = w.a_diag()
+            delta = softplus(float(w.W_delta @ u + w.b_delta[0]))
+            abar = np.exp(delta * a)
+            h = abar * h + (abar - 1.0) / a * (w.W_B @ u + w.b_B) * np.repeat(u, 2)
+            o_rec = ((w.W_C @ u + w.b_C) * h).reshape(SSM_IN, 2).sum(axis=1) + w.D * u
+        else:  # the equations of cells.DiagLti
+            w = self.weights(arch)
+            lti = w.LTI
+            lam, s, M, b, C = cells.diag_lti_constants(w)
+            pre = (s[:, None] * M) @ u
+            if b is not None:
+                pre += b
+            h = lam * h + pre
+            o_rec = np.real(C @ h)
+            if lti.D:
+                o_rec = o_rec + getattr(w, lti.D) * u
+            if lti.b_o:
+                o_rec = o_rec + getattr(w, lti.b_o)
+        new_state["h"] = h[None, :]
 
-        pre = self.params["post.W"] @ o_rec + self.params["post.b"]
-        o_hat = np.tanh(pre) if spec.post_tanh else pre
-        o_c = conditioning_apply(self.conditioning_block(), o_hat, pvec)
-        y = float(self.params["out.W"] @ o_c + self.params["out.b"][0])
+        pre = prm["post.W"] @ o_rec + prm["post.b"]
+        q = np.tanh(pre) if spec.post_tanh else pre
+        if P:  # FiLM: q = theta * o_hat + eta
+            z = prm["film.W"] @ p + prm["film.b"]
+            q = z[:POST_UNITS] * q + z[POST_UNITS:]
+        # GLU: o_c = q1 * softsign(q2)
+        z = prm["glu.W"] @ q + prm["glu.b"]
+        o_c = z[:POST_UNITS] * softsign(z[POST_UNITS:])
+        y = float(prm["out.W"] @ o_c + prm["out.b"][0])
         return y, new_state
 
     # -- batched segment route ---------------------------------------------------
@@ -378,7 +369,8 @@ class Model:
         ``x`` is (L,) or (B, L) of new input samples; the 63 samples of
         context at the segment start come from the history held in
         ``state``.  Returns (y, new_state) with y shaped like x.  Output is
-        identical to L successive forward_sample calls on sliding windows.
+        equal to float rounding to L successive forward_sample calls on
+        sliding windows.
         """
         if state is None:
             raise InputError("state not initialized; call init_state() first")

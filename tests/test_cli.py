@@ -115,6 +115,21 @@ def test_train_missing_dataset_file_error(tmp_path):
     assert code == cli.EXIT_FORMAT  # missing dataset.json
 
 
+def test_train_sidecar_of_wrong_width_format_error(dataset_dir, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for f in dataset_dir.iterdir():
+        (ds / f.name).write_bytes(f.read_bytes())
+    sidecar = ds / "params_001.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                   "params_normalized": [0.5, 0.25]}))
+    code = run(["train", "--arch", "lstm", "--dataset", str(ds), "--composition", "1",
+                "--out", str(tmp_path / "o"), "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FORMAT
+    assert err.startswith("format error:") and "params_001.json" in err and "Traceback" not in err
+
+
 def test_eval_incompatible_checkpoint(dataset_dir, tmp_path):
     ckpt = tmp_path / "p0.sfx"
     Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=0), seed=0)).save(ckpt)
@@ -380,7 +395,11 @@ def test_dataset_unknown_fixed_name_input_error(tmp_path, capsys):
     ("dataset.json", {"cond_dim": "1"}), ("dataset.json", {"effect": ["identity"]}),
     ("params_001.json", {"params_normalized": 0.5}),
     ("params_001.json", {"params_normalized": ["0.5"]}),
-    ("params_001.json", {"cond_labels": "drive"}), ("params_001.json", {"cond_labels": [1]})])
+    ("params_001.json", {"cond_labels": "drive"}), ("params_001.json", {"cond_labels": [1]}),
+    # widths other than the dataset's cond_dim = 1
+    ("params_001.json", {"params_normalized": [0.5, 0.5]}),
+    ("params_001.json", {"params_normalized": []}),
+    ("params_001.json", {"cond_labels": ["drive", "tone"]})])
 def test_eval_malformed_dataset_json_format_error(dataset_dir, tmp_path, capsys, name, text):
     ds = tmp_path / "ds"
     ds.mkdir()

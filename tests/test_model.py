@@ -1,6 +1,11 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from statefx import model as model_module, scans
 from statefx.errors import (
     CompatibilityError,
     DimensionError,
@@ -15,11 +20,9 @@ from statefx.model import (
     REFERENCE_FLOPS_CONDITIONING,
     REFERENCE_FLOPS_TOTAL,
     Checkpoint,
-    ConditioningBlock,
     Model,
     ModelConfig,
     check_dataset_compat,
-    conditioning_apply,
     _gram,
 )
 
@@ -48,35 +51,51 @@ def stream_reference(model, x, p):
 # ---------------------------------------------------------------------------
 
 def test_conditioning_zero_film_zero_output():
-    cb = ConditioningBlock(np.zeros((8, 2)), np.zeros(8), RNG.normal(size=(8, 4)),
-                           np.zeros(8))
-    out = conditioning_apply(cb, RNG.normal(size=4), np.array([0.3, 0.9]))
-    assert np.allclose(out, 0.0)
+    # theta = eta = 0 zeroes the GLU input; with a zero GLU bias only out.b is left
+    for arch in ARCHITECTURES:
+        m = make_model(arch, cond_dim=2, seed=1)
+        for k in ("film.W", "film.b", "glu.b"):
+            m.params[k][:] = 0.0
+        y, _ = m.forward_segment(m.init_state(1), RNG.uniform(-1, 1, 100), np.array([0.3, 0.9]))
+        assert np.allclose(y, m.params["out.b"][0])
 
 
 def test_conditioning_zero_gate_is_bypass():
-    glu_W = np.zeros((8, 4))
-    glu_W[:4] = RNG.normal(size=(4, 4))  # q2 rows zero -> softsign(0) = 0
-    cb = ConditioningBlock(None, None, glu_W, np.zeros(8))
-    assert np.allclose(conditioning_apply(cb, RNG.normal(size=4), None), 0.0)
+    # gate rows zero: softsign(0) = 0 shuts the GLU whatever it reads
+    for arch in ARCHITECTURES:
+        m = make_model(arch, cond_dim=0, seed=1)
+        m.params["glu.W"][4:] = 0.0
+        m.params["glu.b"][:] = 0.0
+        y, _ = m.forward_segment(m.init_state(1), RNG.uniform(-1, 1, 100))
+        assert np.allclose(y, m.params["out.b"][0])
 
 
 def test_conditioning_matches_oracle():
+    # a zero post-FC weight makes its bias the conditioning block's input at
+    # every sample (LSTM has no tanh after the post-FC)
     for _ in range(30):
-        cb = ConditioningBlock(RNG.normal(size=(8, 3)), RNG.normal(size=8),
-                               RNG.normal(size=(8, 4)), RNG.normal(size=8))
-        o = RNG.normal(size=4)
+        m = make_model("lstm", cond_dim=3, seed=2)
+        prm = m.params
+        prm["post.W"][:] = 0.0
+        for k in ("post.b", "film.W", "film.b", "glu.W", "glu.b", "out.W", "out.b"):
+            prm[k][:] = RNG.normal(size=prm[k].shape)
         p = RNG.uniform(0, 1, 3)
-        ref = oracles.conditioning_oracle(cb.film_W, cb.film_b, cb.glu_W, cb.glu_b, o, p)
-        assert np.max(np.abs(conditioning_apply(cb, o, p) - ref)) < 1e-12
+        oc = oracles.conditioning_oracle(prm["film.W"], prm["film.b"], prm["glu.W"], prm["glu.b"],
+                                         prm["post.b"], p)
+        y_ref = sum(prm["out.W"][j] * oc[j] for j in range(4)) + prm["out.b"][0]
+        y, _ = m.forward_segment(m.init_state(1), RNG.uniform(-1, 1, 20), p)
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        assert abs(m.forward_sample(m.init_state(1), RNG.uniform(-1, 1, 64), p)[0] - y_ref) < 1e-12
 
 
 def test_conditioning_range_check():
-    cb = ConditioningBlock(RNG.normal(size=(8, 2)), RNG.normal(size=8),
-                           RNG.normal(size=(8, 4)), RNG.normal(size=8))
+    m = make_model("s6", cond_dim=2)
     for bad in (1.5, -0.1, np.nan):
+        p = np.array([0.5, bad])
         with pytest.raises(InputError):
-            conditioning_apply(cb, np.zeros(4), np.array([0.5, bad]))
+            m.forward_sample(m.init_state(1), np.zeros(64), p)
+        with pytest.raises(InputError):
+            m.forward_segment(m.init_state(1), np.zeros(10), p)
 
 
 def test_nan_conditioning_rejected_by_both_routes():
@@ -274,6 +293,36 @@ def test_output_layer_linearity():
     m.params["out.b"] *= 3.0
     y3, _ = m.forward_segment(m.init_state(1), x)
     assert np.allclose(y3, 3.0 * y1, rtol=1e-12, atol=1e-14)
+
+
+def test_forward_sample_independent_of_batched_route():
+    # the benchmark's prefix check compares forward_segment with forward_sample,
+    # so the per-sample reference may not reach any batched code
+    tree = ast.parse(Path(model_module.__file__).read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Model")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "forward_sample")
+    used = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)  # getattr(self, "...")
+    batched = {"_forward_full", "forward_segment", "_lstm_inputs", "_gram", "_per_substate",
+               "scan", "scans"}
+    batched |= {n for n, v in vars(scans).items()
+                if inspect.isfunction(v) and v.__module__ == scans.__name__}
+    assert sorted(n for n in used if n in batched or n.startswith("_scan_")) == []
+
+
+def test_forward_sample_rejects_bad_batch_and_p():
+    m = make_model("lru", cond_dim=2)
+    with pytest.raises(InputError):
+        m.forward_sample(m.init_state(2), np.zeros(64), np.array([0.5, 0.5]))
+    for p in (None, np.array([0.5]), np.array([0.5, 0.5, 0.5])):
+        with pytest.raises(DimensionError):
+            m.forward_sample(m.init_state(1), np.zeros(64), p)
 
 
 def test_uninitialized_state_rejected():
