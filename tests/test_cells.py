@@ -163,11 +163,11 @@ def selector_encoder():
     return EdEncoder(np.eye(4)[0], np.zeros(1), np.eye(4)[1], np.zeros(1))
 
 
-def ed_and_lstm(enc, h_prev, c_prev, x_e, h_m, c_m, rng=RNG):
+def ed_and_lstm(enc, h_prev, c_prev, x_e, h_m, c_m):
     """One step of the ED layer from (h_prev, c_prev) and of the plain LSTM
     layer (same cell weights) from (h_m, c_m): their (h, c) pairs."""
-    w = random_lstm(rng)
-    u = rng.normal(size=(1, 4))
+    w = random_lstm(RNG)
+    u = RNG.normal(size=(1, 4))
     o_ed, end_ed = scan(layer("ed", enc=enc, lstm=w), u, h_prev, c_prev, x_e[None])
     o_l, end_l = scan(layer("lstm", lstm=w), u, h_m, c_m)
     return (o_ed[0], end_ed["c"]), (o_l[0], end_l["c"])
