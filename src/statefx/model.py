@@ -298,6 +298,8 @@ class Model:
             raise InputError("state not initialized; call init_state() first")
         if state["h"].shape[0] != 1:
             raise InputError("forward_sample works on single-stream state (batch 1)")
+        if not all(np.isfinite(v).all() for key, v in state.items() if key != "hist"):
+            raise NumericError("the carried recurrent state holds a non-finite value")
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (WINDOW_LEN,):
             raise DimensionError(f"window must have shape ({WINDOW_LEN},), got {window.shape}")
@@ -320,8 +322,6 @@ class Model:
                 blocks = window[ED_SPLIT:].reshape(LSTM_UNITS, cells.ED_KERNEL)
                 h = sigmoid(h) * (blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0])
                 c = sigmoid(c) * (blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0])
-            if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-                raise NumericError("the LSTM cell received a non-finite state")
             z = prm["lstm.W"] @ h + prm["lstm.U"] @ u + prm["lstm.b"]  # gates f, i, o; candidate
             f, i, o = sigmoid(z[:3 * LSTM_UNITS]).reshape(3, LSTM_UNITS)
             c = f * c + i * np.tanh(z[3 * LSTM_UNITS:])
@@ -374,6 +374,8 @@ class Model:
         """
         if state is None:
             raise InputError("state not initialized; call init_state() first")
+        if not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool) or chunk < 1:
+            raise InputError(f"chunk must be a positive integer, got {chunk!r}")
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
@@ -412,6 +414,8 @@ class Model:
         B, L = x.shape
         if state["hist"].shape != (B, HIST_LEN):  # the window view reads exactly this much
             raise DimensionError(f"state history {state['hist'].shape} != ({B}, {HIST_LEN})")
+        if not all(np.count_nonzero(np.isfinite(v)) == v.size for v in state.values()):
+            raise NumericError("the carried state holds a non-finite value")
         ext = np.concatenate([state["hist"], x], axis=1)
         # newest-first 64-sample windows, a (B, L, 64) view: win[:, n, k] is
         # ext[:, HIST_LEN + n - k], so win[:, n, 0] is sample n.  An empty
@@ -484,39 +488,42 @@ class Model:
     # returns the gradient with respect to u_seq.
 
     def _lstm_inputs(self, u_seq, win):
-        """Gate inputs zin and, for ED, the encoder candidates."""
+        """Time-major gate inputs zin and, for ED, the encoder candidates k = [ch | cc]."""
         prm = self.params
         B, L, _ = u_seq.shape
-        zin = u_seq @ prm["lstm.U"].T + prm["lstm.b"]
+        zin = (u_seq @ prm["lstm.U"].T + prm["lstm.b"]).swapaxes(0, 1)
         if self.config.architecture != "ed":
-            return zin, None, None
+            return zin, None
         blocks = win[:, :, ED_SPLIT:].reshape(B, L, LSTM_UNITS, cells.ED_KERNEL)
-        return (zin, blocks @ prm["enc.kernel_h"] + prm["enc.bias_h"][0],
-                blocks @ prm["enc.kernel_c"] + prm["enc.bias_c"][0])
+        k = np.empty((L, B, 2, LSTM_UNITS))
+        for j, x in enumerate("hc"):
+            np.add(blocks @ prm[f"enc.kernel_{x}"], prm[f"enc.bias_{x}"][0], out=k[:, :, j].swapaxes(0, 1))
+        return zin, k.reshape(L, B, 2 * LSTM_UNITS)
 
     def _scan_lstm_family(self, state, u_seq, win):
         prm = self.params
-        zin, ch, cc = self._lstm_inputs(u_seq, win)
-        H, C = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"], ch, cc)
+        zin, k = self._lstm_inputs(u_seq, win)
+        S = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"], k)
+        H = S[1:, :, :LSTM_UNITS].swapaxes(0, 1)
 
         def pullback(d_orec, g):
             # rebuilt rather than held, so a forward-only call frees them when the scan returns
-            zin, ch, cc = self._lstm_inputs(u_seq, win)
-            d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec, zin, H, C,
-                                                        state["h"], state["c"], ch, cc)
-            g["lstm.W"] = _gram(d_z, h_in)
+            zin, k = self._lstm_inputs(u_seq, win)
+            d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec.swapaxes(0, 1), zin, S, k)
+            d_z = d_z.swapaxes(0, 1)
+            g["lstm.W"] = _gram(d_z, h_in.swapaxes(0, 1))
             g["lstm.U"] = _gram(d_z, u_seq)
             g["lstm.b"] = d_z.sum(axis=(0, 1))
-            if ch is not None:
+            if k is not None:
                 # ED: unit o's candidate reads block o of the oldest half of each
                 # window, so the kernel gradient sums the diagonal blocks of the product
-                for k, d in (("h", d_ch), ("c", d_cc)):
-                    G = _gram(d, win[:, :, ED_SPLIT:]).reshape(LSTM_UNITS, LSTM_UNITS, cells.ED_KERNEL)
-                    g[f"enc.kernel_{k}"] = np.trace(G)
-                    g[f"enc.bias_{k}"] = np.array([d.sum()])
+                for x, d in (("h", d_ch), ("c", d_cc)):
+                    G = _gram(d.swapaxes(0, 1), win[:, :, ED_SPLIT:])
+                    g[f"enc.kernel_{x}"] = np.trace(G.reshape(LSTM_UNITS, LSTM_UNITS, cells.ED_KERNEL))
+                    g[f"enc.bias_{x}"] = np.array([d.sum()])
             return d_z @ prm["lstm.U"]
 
-        return H, {"h": H[:, -1].copy(), "c": C[:, -1].copy()}, pullback
+        return H, {"h": H[:, -1].copy(), "c": S[-1, :, LSTM_UNITS:].copy()}, pullback
 
     # The linear-recurrence scans keep (B, L, n) shapes but allocate their
     # per-step arrays lane-major ((B, n, L) memory, seen through a transposed

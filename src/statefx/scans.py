@@ -3,12 +3,14 @@
 Only the stateful parts live here; everything batched across time
 (projections, readouts, conditioning) stays in vectorized numpy in the
 model and training modules.  The LSTM family steps one sample at a time
-and keeps only the hidden and cell sequences (H, C); its adjoint rebuilds
-every gate from them in batch, so its reverse loop carries only (d_h, d_c).
-Every linear recurrence needs no step loop: over all lanes it is one unit
-lower-banded system (I - S) x = p, one LAPACK banded triangular solve.  The
-diagonal ones (LRU/S4D: constant multiplier; S6: per-step) are the bidiagonal
-case h_t = a_t*h_{t-1} + p_t, their adjoint the same band solved transposed;
+over time-major arrays and keeps one state buffer S (L + 1, B, 2n): row 0
+holds the entering [h | c], row t + 1 the state after step t.  Its adjoint
+reads the states entering each step as views of S, rebuilds every gate in
+batch and carries only (d_h, d_c) through its reverse loop.  Every linear
+recurrence needs no step loop: over all lanes it is one unit lower-banded
+system, one LAPACK banded triangular solve.  The diagonal ones (LRU/S4D:
+constant multiplier; S6: per-step) are the bidiagonal case
+h_t = a_t*h_{t-1} + p_t, their adjoint the same band solved transposed;
 the IIR filters of the data oracles have one subdiagonal per feedback tap.
 """
 
@@ -28,86 +30,79 @@ HAVE_NUMBA = False
 # LSTM / ED
 # ---------------------------------------------------------------------------
 
-def lstm_forward(W, zin, h0, c0, ch=None, cc=None):
-    """Run the gated scan; with ch/cc present, the ED state merge runs first.
+def lstm_forward(W, zin, h0, c0, k=None):
+    """Run the gated scan over gate inputs ``zin`` (L, B, 4n); returns S.
 
-    Returns (H, C), the hidden and cell states after every step, each
-    (B, L, n).  Nothing else is kept: lstm_backward rebuilds the gates.
+    For ED, ``k = [ch | cc]`` (L, B, 2n) holds the encoder candidates and
+    each step first merges its entering row of S as sigmoid(S[t]) * k[t].
     """
-    B, L, four_n = zin.shape
-    n = four_n // 4
-    H, C = np.empty((2, B, L, n))
-    Wt = W.T
-    h, c = h0, c0
-    for t in range(L):
-        if ch is not None:
-            h = sigmoid(h) * ch[:, t]
-            c = sigmoid(c) * cc[:, t]
-        z = h @ Wt + zin[:, t]
+    (L, B, _), n = zin.shape, W.shape[1]
+    S = np.empty((L + 1, B, 2 * n))
+    S[0, :, :n], S[0, :, n:] = h0, c0
+    h, c, Wt = S[0, :, :n], S[0, :, n:], W.T
+    for t, (zin_t, h_next, c_next) in enumerate(zip(zin, S[1:, :, :n], S[1:, :, n:])):
+        if k is not None:
+            m = sigmoid(S[t]) * k[t]
+            h, c = m[:, :n], m[:, n:]
+        z = np.dot(h, Wt) + zin_t
         gates = sigmoid(z[:, :3 * n])
         g = np.tanh(z[:, 3 * n:])
-        c = np.add(gates[:, :n] * c, gates[:, n:2 * n] * g, out=C[:, t])
-        h = np.multiply(gates[:, 2 * n:], np.tanh(c), out=H[:, t])
-    return H, C
+        c = np.add(gates[:, :n] * c, gates[:, n:2 * n] * g, c_next)
+        h = np.multiply(gates[:, 2 * n:], np.tanh(c), h_next)
+    return S
 
 
-def lstm_backward(W, d_orec, zin, H, C, h0, c0, ch=None, cc=None):
-    """Reverse the gated scan from the forward states (H, C) alone.
+def lstm_backward(W, d_orec, zin, S, k=None):
+    """Reverse the gated scan from lstm_forward's S alone.
 
-    The states entering each step, the ED merge, the gates and the
-    per-step coefficients of the adjoint are rebuilt in batch; the reverse
-    loop only carries (d_h, d_c).  Returns (d_z, d_ch, d_cc, h_in): the
-    gate pre-activation gradient (B, L, 4n), the encoder candidate
-    gradients (ED only, else None) and the (merged) hidden states entering
-    each step.  The work runs time-major, so each step reads contiguous
-    rows; the results are (B, L, ...) views of that memory.
+    ``d_orec`` (L, B, n) is the gradient reaching the hidden states
+    S[1:, :, :n].  The gates and the adjoint's per-step coefficients are
+    rebuilt in batch; the reverse loop writes only into buffers made before
+    it.  Returns (d_z, d_ch, d_cc, h_in), time-major: the gate
+    pre-activation gradient (L, B, 4n), the encoder candidate gradients (ED
+    only, else None) and the (merged) hidden states entering each step.
     """
-    B, L, n = H.shape
-    merge = ch is not None
-    H, C, zin = H.swapaxes(0, 1), C.swapaxes(0, 1), zin.swapaxes(0, 1)
-    h_in = np.concatenate([h0[None], H[:-1]])
-    c_in = np.concatenate([c0[None], C[:-1]])
-    if merge:
-        ch, cc = ch.swapaxes(0, 1), cc.swapaxes(0, 1)
-        sh, sc = sigmoid(h_in), sigmoid(c_in)
-        h_in, c_in = sh * ch, sc * cc
-    z = (h_in @ W.T + zin).reshape(L, B, 4, n)
+    L, B, n = d_orec.shape
+    sg = sigmoid(S[:-1]) if k is not None else None     # [sh | sc]
+    m = sg * k if k is not None else S[:-1]              # the states entering each step
+    h_in, c_in = m[..., :n], m[..., n:]
+    z = (h_in.reshape(L * B, n) @ W.T).reshape(L, B, 4, n)
+    z += zin.reshape(L, B, 4, n)
     f, i, o = np.moveaxis(sigmoid(z[:, :, :3]), 2, 0)
-    g = np.tanh(z[:, :, 3])
-    tc = np.tanh(C)
+    g = np.tanh(z[:, :, 3], out=z[:, :, 3])
     # d_z_t = [d_c_t * kf, d_c_t * ki, d_h_t * ko, d_c_t * kg] with
     # d_c_t = d_c + d_h_t * oc_t; kf, ki and kg take z's place, d_z takes theirs
-    k = z
-    np.multiply(c_in, f * (1.0 - f), out=k[:, :, 0])
-    np.multiply(g, i * (1.0 - i), out=k[:, :, 1])
-    np.multiply(i, 1.0 - g * g, out=k[:, :, 3])
+    np.multiply(c_in, f * (1.0 - f), out=z[:, :, 0])
+    np.multiply(g, i * (1.0 - i), out=z[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=z[:, :, 3])         # over g, after its last reader
+    tc = np.tanh(S[1:, :, n:])
     ko = tc * o * (1.0 - o)
     oc = o * (1.0 - tc * tc)
     # carried into the step before: d_h = (d_z_t @ W) * kh_t, d_c = d_c_t * kc_t
-    if merge:
-        fs = f * sc
-        kc = fs * cc * (1.0 - sc)
-        kh = sh * ch * (1.0 - sh)
+    if k is not None:
+        kh = m[..., :n] * (1.0 - sg[..., :n])
+        kc = m[..., n:] * (1.0 - sg[..., n:]) * f
+        np.multiply(f, sg[..., n:], out=sg[..., n:])     # f * sc, the cell's share in d_cc
     else:
-        kc = f.copy()  # its own memory, so the gate array is freed below
-    del z, c_in, f, i, o, g, tc
-    D_C = np.empty((L, B, n))
-    d_h, d_c = np.zeros((2, B, n))
-    for t in range(L - 1, -1, -1):
-        d_ht = d_orec[:, t] + d_h
-        d_ct = np.add(d_c, d_ht * oc[t], out=D_C[t])
-        d_zt = np.multiply(k[t], d_ct[:, None], out=k[t])
-        np.multiply(ko[t], d_ht, out=d_zt[:, 2])
-        d_h = d_zt.reshape(B, 4 * n) @ W
-        if merge:
-            d_h *= kh[t]
-        d_c = d_ct * kc[t]
-    d_z = k.reshape(L, B, 4 * n)
-    del k, ko, oc, kc
-    d_ch = d_cc = None
-    if merge:
-        d_ch, d_cc = ((d_z @ W) * sh).swapaxes(0, 1), (D_C * fs).swapaxes(0, 1)
-    return d_z.swapaxes(0, 1), d_ch, d_cc, h_in.swapaxes(0, 1)
+        kc, kh = f.copy(), [None] * L                    # contiguous rows for the loop
+    d_h, d_c, d_ht = np.zeros((3, B, n))
+    # each d_c_t is written over oc_t, its last reader, so oc ends up holding them all
+    for d_o, oc_t, ko_t, kc_t, kh_t, z_t in zip(d_orec[::-1], oc[::-1], ko[::-1], kc[::-1],
+                                                kh[::-1], z[::-1]):
+        np.add(d_o, d_h, d_ht)
+        d_ct = np.multiply(d_ht, oc_t, oc_t)
+        d_ct += d_c
+        np.multiply(z_t, d_ct[:, None], z_t)
+        np.multiply(ko_t, d_ht, z_t[:, 2])
+        np.dot(z_t.reshape(B, 4 * n), W, d_h)
+        if kh_t is not None:
+            d_h *= kh_t
+        np.multiply(d_ct, kc_t, d_c)
+    d_z = z.reshape(L, B, 4 * n)
+    if k is None:
+        return d_z, None, None, h_in
+    d_ch = (d_z.reshape(L * B, 4 * n) @ W).reshape(L, B, n) * sg[..., :n]
+    return d_z, d_ch, np.multiply(oc, sg[..., n:], out=oc), h_in
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,8 @@ def test_lstm_h_bounded():
 
 
 def test_lstm_rejects_nonfinite_state():
-    # checked where the per-sample reference enters the cell, after the ED merge
+    # checked before the per-sample reference reads the state; an inf would
+    # pass the ED merge as a finite value, since the merge's sigmoid maps it to 1
     for arch in ("lstm", "ed"):
         m = Model.init(ModelConfig(arch), seed=1)
         for key in ("h", "c"):

@@ -11,6 +11,7 @@ from statefx.errors import (
     DimensionError,
     FormatError,
     InputError,
+    NumericError,
     StabilityError,
 )
 from statefx.model import (
@@ -25,6 +26,7 @@ from statefx.model import (
     check_dataset_compat,
     _gram,
 )
+from statefx.training import backward_segment
 
 import oracles
 
@@ -140,6 +142,39 @@ def test_state_history_of_wrong_length_rejected(hist_len):
     state["hist"] = np.zeros((2, hist_len))
     with pytest.raises(DimensionError):
         m.forward_segment(state, np.zeros((2, 32)))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_carried_state_rejected(arch, bad):
+    # one bad value in any state array would turn the whole segment into NaN
+    m = make_model(arch, cond_dim=0)
+    for key in m.init_state(1):
+        state = m.init_state(1)
+        state[key][0, 3] = bad
+        with pytest.raises(NumericError):
+            m.forward_segment(state, np.zeros(32))
+        with pytest.raises(NumericError):
+            backward_segment(m, state, np.zeros(32), np.zeros(32))
+        if key != "hist":  # the per-sample route reads its window, not the history
+            with pytest.raises(NumericError):
+                m.forward_sample(state, np.zeros(64))
+
+
+@pytest.mark.parametrize("chunk", [0, -5, 2.5, True, "64", None])
+def test_forward_segment_rejects_chunk_that_is_no_positive_integer(chunk):
+    m = make_model("lru", cond_dim=0)
+    with pytest.raises(InputError):
+        m.forward_segment(m.init_state(1), np.zeros(32), chunk=chunk)
+
+
+def test_forward_segment_takes_numpy_integer_chunk():
+    m = make_model("ed", cond_dim=0)
+    x = RNG.uniform(-1, 1, 200)
+    y, end = m.forward_segment(m.init_state(1), x)
+    y7, end7 = m.forward_segment(m.init_state(1), x, chunk=np.int64(7))
+    assert np.max(np.abs(y7 - y)) < 1e-12
+    assert all(np.max(np.abs(end7[k] - end[k])) < 1e-12 for k in end)
 
 
 def test_p0_outputs_ignore_supplied_p():
@@ -555,3 +590,63 @@ def test_gram_equals_einsum_on_each_layout(layout, B):
         got = _gram(x, y)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# LSTM family: lanes of the time-major state buffer stay apart
+# ---------------------------------------------------------------------------
+
+def carried(m, B, seed):
+    """Inputs, static p and a state carried over a first segment, for B lanes."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=(B, 2))
+    _, state = m.forward_segment(m.init_state(B), rng.uniform(-1, 1, (B, 150)), p)
+    return rng.uniform(-1, 1, (B, 300)), p, state
+
+
+@pytest.mark.parametrize("arch", ["lstm", "ed"])
+def test_lstm_family_lanes_independent(arch):
+    m = make_model(arch, cond_dim=2, seed=7)
+    x, p, state = carried(m, 3, seed=8)
+    y, end = m.forward_segment(state, x, p)
+    target = np.tanh(2.0 * x)
+    _, g, _ = backward_segment(m, state, x, target, p)
+    # what the other lanes hold does not reach a lane, to the bit
+    x2, p2, state2 = carried(m, 3, seed=9)
+    for lane in range(3):
+        mixed_x, mixed_p = x2.copy(), p2.copy()
+        mixed_x[lane], mixed_p[lane] = x[lane], p[lane]
+        mixed_state = {k: v.copy() for k, v in state2.items()}
+        for k in mixed_state:
+            mixed_state[k][lane] = state[k][lane]
+        y_m, end_m = m.forward_segment(mixed_state, mixed_x, mixed_p)
+        assert np.array_equal(y_m[lane], y[lane])
+        assert all(np.array_equal(end_m[k][lane], end[k][lane]) for k in end)
+    # one lane run alone matches its lane of the batch; the step product of a
+    # single row runs another BLAS kernel, so equal to rounding, not to the bit
+    g_lanes = {k: np.zeros_like(v) for k, v in g.items()}
+    for lane in range(3):
+        one = {k: v[lane:lane + 1] for k, v in state.items()}
+        sl = slice(lane, lane + 1)
+        y_1, end_1 = m.forward_segment(one, x[sl], p[sl])
+        assert np.max(np.abs(y_1[0] - y[lane])) <= 1e-12 * np.max(np.abs(y[lane]))
+        assert all(np.max(np.abs(end_1[k][0] - end[k][lane])) <= 1e-12 for k in end)
+        _, g_1, _ = backward_segment(m, one, x[sl], target[sl], p[sl])
+        for k in g:  # the loss is a mean over every lane's samples
+            g_lanes[k] += g_1[k] / 3
+    for k in g:
+        assert np.max(np.abs(g[k] - g_lanes[k])) <= 1e-12 * np.max(np.abs(g[k])), k
+
+
+@pytest.mark.parametrize("arch", ["lstm", "ed"])
+def test_pullback_repeats_and_leaves_its_input(arch):
+    # the adjoint writes only into its own buffers: neither d_y nor anything
+    # the forward pass kept may change between two pullbacks
+    m = make_model(arch, cond_dim=2, seed=10)
+    x, p, state = carried(m, 3, seed=11)
+    _, _, pullback = m._forward_full(state, x, p)
+    d_y = np.random.default_rng(12).normal(size=x.shape)
+    kept = d_y.copy()
+    first, second = pullback(d_y), pullback(d_y)
+    assert np.array_equal(d_y, kept)
+    assert all(np.array_equal(first[k], second[k]) for k in first)

@@ -1,4 +1,5 @@
-"""The banded diagonal scan against a plain per-step loop, and its adjoint."""
+"""The banded diagonal scan against a plain per-step loop, and its adjoint;
+the LSTM family's state buffer against the scalar step oracles."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from statefx.data import _rbj_lowpass, _rbj_peaking
-from statefx.scans import diag_scan, diag_scan_backward, linear_filter
+from statefx.scans import diag_scan, diag_scan_backward, linear_filter, lstm_backward, lstm_forward
+
+import oracles
 
 EPS = np.finfo(np.float64).eps
 
@@ -154,3 +157,46 @@ def test_linear_filter_matches_lfilter(b, a):
     X = x[:3000].reshape(3, 1000)
     ref = lfilter(b, a, X)
     np.testing.assert_allclose(linear_filter(b, a, X), ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+
+# ---------------------------------------------------------------------------
+# LSTM family: the time-major state buffer S (L + 1, B, 2n)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("merge", [False, True], ids=["lstm", "ed"])
+def test_lstm_state_buffer_rows_follow_step_oracle(merge):
+    # row 0 holds the entering [h | c], row t + 1 the state after step t, for
+    # every lane; ED merges each entering row with its candidates first
+    rng = np.random.default_rng(11)
+    L, B, n = 40, 3, 8
+    W, U, b = rng.normal(size=(4 * n, n)) * 0.5, rng.normal(size=(4 * n, 4)), rng.normal(size=4 * n)
+    u = rng.normal(size=(L, B, 4))
+    k = rng.normal(size=(L, B, 2 * n)) if merge else None
+    h0, c0 = rng.normal(size=(2, B, n))
+    S = lstm_forward(W, u @ U.T + b, h0, c0, k)
+    assert S.shape == (L + 1, B, 2 * n)
+    assert np.array_equal(S[0], np.concatenate([h0, c0], axis=1))
+    for lane in range(B):
+        h, c = h0[lane], c0[lane]
+        for t in range(L):
+            if merge:
+                h, c = oracles.ed_merge_oracle(h, c, k[t, lane, :n], k[t, lane, n:])
+            h, c = oracles.lstm_step_oracle(W, U, b, h, c, u[t, lane])
+            np.testing.assert_allclose(S[t + 1, lane], np.concatenate([h, c]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["lstm", "ed"])
+def test_lstm_backward_leaves_its_inputs_unchanged(merge):
+    rng = np.random.default_rng(12)
+    L, B, n = 30, 2, 8
+    W = rng.normal(size=(4 * n, n)) * 0.5
+    zin = rng.normal(size=(B, L, 4 * n)).swapaxes(0, 1)   # a time-major view, as the model passes it
+    k = rng.normal(size=(L, B, 2 * n)) if merge else None
+    S = lstm_forward(W, zin, *rng.normal(size=(2, B, n)), k)
+    d_orec = rng.normal(size=(B, L, n)).swapaxes(0, 1)
+    inputs = [a.copy() for a in (W, d_orec, zin, S) + ((k,) if merge else ())]
+    first = lstm_backward(W, d_orec, zin, S, k)
+    second = lstm_backward(W, d_orec, zin, S, k)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, (W, d_orec, zin, S, k)))
+    assert all((a is None and b is None) or np.array_equal(a, b) for a, b in zip(first, second))
+    assert (first[1] is None) == (not merge)
