@@ -2,8 +2,8 @@
 
 Every command writes a run_manifest.json into its output directory and is
 deterministic under a fixed seed (manifest timestamps aside).  Exit codes:
-0 success, 2 usage, 3 file-format error, 4 numeric error, 5 invalid input
-or incompatibility.
+0 success, 2 usage, 3 file-format error, 4 numeric error, 5 invalid input,
+incompatibility or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -260,8 +260,9 @@ def cmd_benchmark(args) -> int:
         model = Model.init(ModelConfig(args.arch, cond_dim=args.cond_dim), seed=0)
     cfg = model.config
     fs = cfg.sample_rate
-    if not (np.isfinite(args.seconds) and args.seconds * fs >= 1):
-        raise InputError(f"--seconds must be finite and cover at least one sample, got {args.seconds:g}")
+    if not (args.seconds * fs >= 1 and args.seconds <= data.MAX_DURATION):  # NaN fails too
+        raise InputError(f"--seconds must cover at least one sample and at most "
+                         f"{data.MAX_DURATION:g} s, got {args.seconds:g}")
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.5, 0.5, int(args.seconds * fs))
     p = np.full(cfg.cond_dim, 0.5) if cfg.cond_dim else None
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as e:
+        print(f"error: not enough memory: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -22,6 +22,7 @@ from .scans import linear_filter
 
 DEFAULT_RATE = 48000
 DEFAULT_DURATION = 45.0
+MAX_DURATION = 3600.0   # seconds; one hour of audio bounds every generated or benchmarked signal
 N_COMPOSITIONS = 5
 
 
@@ -79,8 +80,8 @@ def generate_input_signal(duration: float = DEFAULT_DURATION, sample_rate: int =
     Peak amplitude stays <= 1.
     """
     fs = sample_rate
-    if not np.isfinite(duration):
-        raise InputError(f"duration must be finite, got {duration}")
+    if not np.isfinite(duration) or duration > MAX_DURATION:
+        raise InputError(f"duration must be finite and at most {MAX_DURATION:g} s, got {duration}")
     n_total = int(round(duration * fs))
     rng = np.random.default_rng(seed)
     gap = int(0.02 * fs)

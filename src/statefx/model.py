@@ -209,26 +209,17 @@ class Model:
         for prefix, init in spec.groups:
             add(prefix, init(rng))
 
-        r = spec.readout_units
-        bound = 1.0 / np.sqrt(r)
-        p["post.W"] = rng.uniform(-bound, bound, (POST_UNITS, r))
-        p["post.b"] = np.zeros(POST_UNITS)
-
+        dense = [("post", POST_UNITS, spec.readout_units)]
         if config.cond_dim > 0:
-            bound = 1.0 / np.sqrt(config.cond_dim)
-            p["film.W"] = rng.uniform(-bound, bound, (2 * POST_UNITS, config.cond_dim))
-            b = np.zeros(2 * POST_UNITS)
-            b[:POST_UNITS] = 1.0  # FiLM starts as identity scaling
-            p["film.b"] = b
-
-        bound = 1.0 / np.sqrt(POST_UNITS)
-        p["glu.W"] = rng.uniform(-bound, bound, (2 * POST_UNITS, POST_UNITS))
-        b = np.zeros(2 * POST_UNITS)
-        b[POST_UNITS:] = 1.0  # gate starts half open: softsign(1) = 0.5
-        p["glu.b"] = b
-
-        p["out.W"] = rng.uniform(-bound, bound, POST_UNITS)
-        p["out.b"] = np.zeros(1)
+            dense.append(("film", 2 * POST_UNITS, config.cond_dim))
+        dense += [("glu", 2 * POST_UNITS, POST_UNITS), ("out", 1, POST_UNITS)]
+        for prefix, units, width in dense:
+            w = cells.init_projection(rng, units, width)
+            p[f"{prefix}.W"], p[f"{prefix}.b"] = w.W, w.b
+        if config.cond_dim > 0:
+            p["film.b"][:POST_UNITS] = 1.0  # FiLM starts as identity scaling
+        p["glu.b"][POST_UNITS:] = 1.0  # gate starts half open: softsign(1) = 0.5
+        p["out.W"] = p["out.W"].reshape(POST_UNITS)
         return cls(config, p)
 
     def copy(self) -> "Model":
@@ -262,27 +253,38 @@ class Model:
     def copy_state(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in state.items()}
 
-    # -- conditioning helpers -------------------------------------------------
+    # -- batched input check ---------------------------------------------------
 
-    def _check_p(self, p, batch: int, length: int):
-        """Normalize p to (B, P) for static or (B, L, P) for scheduled values."""
+    def _batch_inputs(self, state, x, p):
+        """The checked (state, x, p) of one batched call as (x (B, L), p, squeeze):
+        p None, (B, P) static or (B, L, P) scheduled; squeeze if x came in 1-d."""
+        if state is None:
+            raise InputError("state not initialized; call init_state() first")
+        x = np.asarray(x, dtype=np.float64)
+        squeeze = x.ndim == 1
+        if squeeze:
+            x = x[None, :]
+        if x.ndim != 2:
+            raise DimensionError("x must be 1-d or 2-d (batch, samples)")
+        B, L = x.shape
+        if state["h"].shape[0] != B:
+            raise DimensionError(f"state batch {state['h'].shape[0]} != input batch {B}")
         P = self.config.cond_dim
         if P == 0:
-            return None
+            return x, None, squeeze
         if p is None:
             raise InputError(f"model expects {P} conditioning parameters, got none")
         p = np.asarray(p, dtype=np.float64)
-        shape = p.shape
-        if shape == (P,):
-            p = p[None].repeat(batch, 0)
-        elif shape == (batch, P) or shape == (batch, length, P):
+        if p.shape == (P,):
+            p = p[None].repeat(B, 0)
+        elif p.shape == (B, P) or p.shape == (B, L, P):
             pass
-        elif shape == (length, P) and batch == 1:
+        elif p.shape == (L, P) and B == 1:
             p = p[None]
         else:
-            raise DimensionError(f"conditioning shape {p.shape} incompatible with P={P}, batch={batch}")
+            raise DimensionError(f"conditioning shape {p.shape} incompatible with P={P}, batch={B}")
         _check_unit_range(p)
-        return p
+        return x, p, squeeze
 
     # -- single-sample route ----------------------------------------------------
 
@@ -372,20 +374,10 @@ class Model:
         equal to float rounding to L successive forward_sample calls on
         sliding windows.
         """
-        if state is None:
-            raise InputError("state not initialized; call init_state() first")
+        x, pfull, squeeze = self._batch_inputs(state, x, p)
         if not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool) or chunk < 1:
             raise InputError(f"chunk must be a positive integer, got {chunk!r}")
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2:
-            raise DimensionError("x must be 1-d or 2-d (batch, samples)")
         B, L = x.shape
-        if state["h"].shape[0] != B:
-            raise DimensionError(f"state batch {state['h'].shape[0]} != input batch {B}")
-        pfull = self._check_p(p, B, L)
         if L == 0:
             y = np.empty((B, 0))
             return (y[0] if squeeze else y), self.copy_state(state)
@@ -403,9 +395,9 @@ class Model:
     def _forward_full(self, state, x, p):
         """Batched forward over one contiguous chunk: (y (B, L), new_state, pullback).
 
-        ``p`` is already normalized: None, (B, P) static, or (B, L, P)
-        scheduled.  ``pullback(d_y)`` returns every weight's gradient in
-        ``params`` order, for static ``p``; the incoming state is a constant.
+        ``x`` and ``p`` come from ``_batch_inputs``.  ``pullback(d_y)``
+        returns every weight's gradient in ``params`` order, for static
+        ``p``; the incoming state is a constant.
         """
         cfg = self.config
         spec = ARCH[cfg.architecture]

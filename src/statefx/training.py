@@ -9,6 +9,9 @@ segment takes one Adam step on globally clipped gradients, the learning
 rate decays exponentially, and validation after every epoch drives early
 stopping.  The gradients come from the pullbacks in ``statefx.model``;
 ``finite_difference_audit`` checks them against central differences.
+Both pass their inputs through the check ``Model.forward_segment`` makes
+(a state, 1-d or 2-d samples, equal batches, conditioning shape and range),
+so a malformed call raises the same typed error on every route.
 """
 
 from __future__ import annotations
@@ -126,20 +129,19 @@ def backward_segment(model: Model, state_in, segment, target, p=None):
     """Loss, exact gradients, and detached next state for one segment.
 
     ``segment`` and ``target`` are (L,) or (B, L); ``p`` is None or static
-    per-stream conditioning ((P,) or (B, P)).  The incoming state is treated
-    as a constant: gradients never cross a segment boundary.
+    per-stream conditioning ((P,) or (B, P)); they pass the input check of
+    ``Model.forward_segment``, and ``target`` must match ``segment``.  The
+    incoming state is treated as a constant: gradients never cross a
+    segment boundary.
     """
-    x = np.asarray(segment, dtype=np.float64)
+    x, pn, squeeze = model._batch_inputs(state_in, segment, p)
     t = np.asarray(target, dtype=np.float64)
-    squeeze = x.ndim == 1
     if squeeze:
-        x, t = x[None, :], t[None, :]
+        t = t[None]
     if x.shape != t.shape:
         raise InputError(f"segment/target shapes differ: {x.shape} vs {t.shape}")
-    B, L = x.shape
-    if L == 0:
+    if x.shape[1] == 0:
         raise InputError("backward_segment needs at least one sample")
-    pn = model._check_p(p, B, L)
     if pn is not None and pn.ndim == 3:
         raise InputError("backward_segment supports static per-stream conditioning only")
 
@@ -279,6 +281,7 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
         raise InputError(f"no training stream holds a full {seg}-sample segment")
 
     for epoch in range(cfg.max_epochs):
+        history.stop_epoch = epoch
         lr = lr_at_epoch(cfg, epoch)
         order = rng.permutation(len(usable))
         by_count: dict[int, list] = {}
@@ -288,52 +291,40 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
 
         total_loss = 0.0
         n_updates = 0
-        for n_segs, streams in sorted(by_count.items()):
-            for start in range(0, len(streams), cfg.batch_size):
-                batch = streams[start:start + cfg.batch_size]
-                xs = np.stack([s.x[:n_segs * seg] for s in batch])
-                ys = np.stack([s.y[:n_segs * seg] for s in batch])
-                ps = _stack_p(batch, model.config.cond_dim)
-                state = model.init_state(batch=len(batch))
-                for k in range(n_segs):
-                    sl = slice(k * seg, (k + 1) * seg)
-                    try:
+        try:
+            for n_segs, streams in sorted(by_count.items()):
+                for start in range(0, len(streams), cfg.batch_size):
+                    batch = streams[start:start + cfg.batch_size]
+                    xs = np.stack([s.x[:n_segs * seg] for s in batch])
+                    ys = np.stack([s.y[:n_segs * seg] for s in batch])
+                    ps = _stack_p(batch, model.config.cond_dim)
+                    state = model.init_state(batch=len(batch))
+                    for k in range(n_segs):
+                        sl = slice(k * seg, (k + 1) * seg)
                         loss, grads, state = backward_segment(model, state, xs[:, sl], ys[:, sl], ps)
-                    except (NumericError, StabilityError) as e:
-                        history.stop_epoch = epoch
-                        raise TrainingDivergedError(str(e), history) from None
-                    clip_grad_norm(grads)
-                    adam_update(model.params, grads, moments, lr)
-                    total_loss += loss
-                    n_updates += 1
-            try:
+                        clip_grad_norm(grads)
+                        adam_update(model.params, grads, moments, lr)
+                        total_loss += loss
+                        n_updates += 1
                 model.check_stability()
-            except StabilityError as e:
-                history.stop_epoch = epoch
-                raise TrainingDivergedError(str(e), history) from None
-
-        mse_val, esr_val, _ = evaluate_streams(model, split.val)
-        history.train_loss.append(total_loss / max(n_updates, 1))
-        history.val_loss.append(mse_val)
-        history.val_esr.append(esr_val)
-        history.lr.append(lr)
-
-        if not np.isfinite(mse_val):
-            history.stop_epoch = epoch
-            raise TrainingDivergedError("non-finite validation loss", history)
+            mse_val, esr_val, _ = evaluate_streams(model, split.val)
+            history.train_loss.append(total_loss / max(n_updates, 1))
+            history.val_loss.append(mse_val)
+            history.val_esr.append(esr_val)
+            history.lr.append(lr)
+            if not np.isfinite(mse_val):
+                raise NumericError("non-finite validation loss")
+        except (NumericError, StabilityError) as e:
+            raise TrainingDivergedError(str(e), history) from None
 
         if mse_val < best_val:
             best_val = mse_val
             history.best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}
         if epoch_callback is not None and epoch_callback(epoch, model, history):
-            history.stop_epoch = epoch
             break
         if epoch - history.best_epoch > cfg.patience:
-            history.stop_epoch = epoch
             break
-    else:
-        history.stop_epoch = cfg.max_epochs - 1
 
     model.params = {k: v.copy() for k, v in best_params.items()}
     ckpt = Checkpoint.from_model(model, history.as_arrays(), history.best_epoch)
@@ -353,19 +344,17 @@ def finite_difference_audit(model: Model, segment, target, p=None, eps: float = 
     differentiates the segment MSE.  Relative error uses max(|g_fd|,
     |g_an|, 1e-6) in the denominator so structurally-zero gradients
     report exactly 0.  Returns (max relative error, {param: worst error}).
+    The losses come from ``Model.forward_segment`` and the gradients from
+    ``backward_segment``, so the audit makes the checks they make.
     """
     x = np.asarray(segment, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
-    if x.ndim == 1:
-        x, t = x[None, :], t[None, :]
-    B, L = x.shape
-    pn = model._check_p(p, B, L)
-    state0 = model.init_state(batch=B)
+    state0 = model.init_state(batch=len(x) if x.ndim == 2 else 1)
 
     def loss_now() -> float:
-        return loss_mse(t, model._forward_full(state0, x, pn)[0])
+        return loss_mse(t, model.forward_segment(state0, x, p)[0])
 
-    _, grads, _ = backward_segment(model, state0, x, t, pn)
+    _, grads, _ = backward_segment(model, state0, x, t, p)
     rng = np.random.default_rng(0)
     worst: dict[str, float] = {}
     for name, arr in model.params.items():

@@ -299,7 +299,8 @@ def test_dataset_non_numeric_value_input_error(tmp_path, capsys, flag):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("duration", ["-1", "0", "0.05", "nan", "inf"])
+# 1e12 and 1e300 lie above data.MAX_DURATION, so the cap rejects them before any allocation
+@pytest.mark.parametrize("duration", ["-1", "0", "0.05", "nan", "inf", "1e12", "1e300"])
 def test_dataset_bad_duration_input_error(tmp_path, capsys, duration):
     out = tmp_path / "d"
     code = run(["dataset", "--effect", "identity", "--duration", duration, "--out", str(out)])
@@ -309,12 +310,22 @@ def test_dataset_bad_duration_input_error(tmp_path, capsys, duration):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf", "1e12", "1e300"])
 def test_benchmark_bad_seconds_input_error(tmp_path, capsys, seconds):
     code = run(["benchmark", "--arch", "lru", "--seconds", seconds, "--out", str(tmp_path / "b")])
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_memory_error_exits_as_input_error(tmp_path, capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 119. PiB for an array")
+    monkeypatch.setattr(cli.data, "build_dataset", too_large)
+    code = run(["dataset", "--effect", "identity", "--duration", "0.5", "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "memory" in err and "Traceback" not in err
 
 
 def test_benchmark_huge_cond_dim_input_error(capsys):

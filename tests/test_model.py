@@ -344,11 +344,28 @@ def test_forward_sample_independent_of_batched_route():
             used.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)  # getattr(self, "...")
-    batched = {"_forward_full", "forward_segment", "_lstm_inputs", "_gram", "_per_substate",
-               "scan", "scans"}
+    batched = {"_batch_inputs", "_forward_full", "forward_segment", "_lstm_inputs", "_gram",
+               "_per_substate", "scan", "scans"}
     batched |= {n for n, v in vars(scans).items()
                 if inspect.isfunction(v) and v.__module__ == scans.__name__}
     assert sorted(n for n in used if n in batched or n.startswith("_scan_")) == []
+
+
+def test_only_backward_segment_reads_private_model_members():
+    # forward_segment is the one batched entry point; outside model.py only
+    # backward_segment, which needs the input check and the pullback, goes past it
+    private = {n for n in vars(Model) if n.startswith("_") and not n.startswith("__")}
+    outside = []
+    for path in sorted(Path(model_module.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = [(n.lineno, n.end_lineno) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                   and (path.name, n.name) == ("training.py", "backward_segment")]
+        outside += [f"{path.name}:{n.lineno} {n.attr}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr in private
+                    and not any(a <= n.lineno <= b for a, b in allowed)]
+    assert outside == []
 
 
 def test_forward_sample_rejects_bad_batch_and_p():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statefx.data import build_dataset, get_effect, make_split_compositions, resolve_composition
-from statefx.errors import InputError, NumericError, StabilityError
+from statefx.errors import DimensionError, InputError, NumericError, StabilityError
 from statefx.model import ARCHITECTURES, Model, ModelConfig
 from statefx.training import (
     AdamState,
@@ -157,6 +157,21 @@ def test_empty_segment_rejected(arch):
         backward_segment(m, m.init_state(2), np.zeros((2, 0)), np.zeros((2, 0)))
     with pytest.raises(InputError):
         finite_difference_audit(m, np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda m: backward_segment(m, None, np.zeros(64), np.zeros(64)), InputError),
+    (lambda m: backward_segment(m, m.init_state(1), np.float64(0.5), np.float64(0.5)), DimensionError),
+    (lambda m: backward_segment(m, m.init_state(1), np.zeros((1, 2, 64)), np.zeros((1, 2, 64))),
+     DimensionError),
+    (lambda m: finite_difference_audit(m, np.float64(0.5), np.float64(0.5)), DimensionError),
+    (lambda m: finite_difference_audit(m, np.zeros((1, 2, 64)), np.zeros((1, 2, 64))), DimensionError),
+], ids=["backward-no-state", "backward-0d", "backward-3d", "audit-0d", "audit-3d"])
+def test_malformed_batched_call_raises_typed_error(call, error):
+    # the checks forward_segment makes hold for the gradient routes too
+    m = Model.init(ModelConfig("lru", cond_dim=0), seed=1)
+    with pytest.raises(error):
+        call(m)
 
 
 def test_fd_error_shrinks_with_eps():
