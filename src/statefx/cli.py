@@ -63,12 +63,15 @@ def _number(text: str, what: str) -> float:
 
 
 def _read_csv(path, reader=csv.reader) -> list:
-    """Every row of a CSV file, or FormatError naming it when its bytes are not text."""
+    """Every row of a CSV file, or FormatError naming it when its bytes are not
+    text or the csv module rejects them (an over-long field, say)."""
     try:
         with open(path) as fh:
             return list(reader(fh))
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: undecodable text ({e})") from None
+    except csv.Error as e:
+        raise FormatError(f"{path}: malformed CSV ({e})") from None
 
 
 def _parse_assignments(items, what: str) -> dict:
@@ -241,6 +244,7 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 BENCHMARK_BUFFERS = (32, 128, 512)  # plugin buffer sizes timed beside the whole file
+TRAIN_STEP_LANES = (1, 3, 6)        # lanes of the timed training step
 
 
 def _stream_seconds(model, x, p, buffer: int) -> float:
@@ -250,6 +254,24 @@ def _stream_seconds(model, x, p, buffer: int) -> float:
     for a in range(0, len(x), buffer):
         _, state = model.forward_segment(state, x[a:a + buffer], p)
     return time.perf_counter() - t0
+
+
+def _train_step_ms(model, lanes: int) -> float:
+    """Median wall time in ms of 3 training steps (backward_segment, clipping and
+    one Adam update) on a copy of ``model``, each over one TrainConfig.segment_len
+    segment per lane, carrying the state from step to step."""
+    model = model.copy()
+    cfg = training.TrainConfig()
+    x = np.random.default_rng(1).uniform(-0.5, 0.5, (lanes, cfg.segment_len))
+    P = model.config.cond_dim
+    p = np.full((lanes, P), 0.5) if P else None
+    state, moments, times = model.init_state(lanes), training.AdamState.for_model(model), []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _, grads, state = training.backward_segment(model, state, x, x, p)
+        training.adam_update(model.params, training.clip_grad_norm(grads), moments, cfg.initial_lr)
+        times.append(time.perf_counter() - t0)
+    return 1000.0 * float(np.median(times))
 
 
 def cmd_benchmark(args) -> int:
@@ -276,6 +298,7 @@ def cmd_benchmark(args) -> int:
         "real_time_factor_48k": sps / fs,
         "real_time_factor_48k_by_buffer": {
             str(n): len(x) / _stream_seconds(model, x, p, n) / fs for n in BENCHMARK_BUFFERS},
+        "train_step_ms_by_lanes": {str(n): _train_step_ms(model, n) for n in TRAIN_STEP_LANES},
         "algorithmic_latency_samples": cells.WINDOW_LEN,
         "algorithmic_latency_ms": cells.WINDOW_LEN / fs * 1000.0,
         "trainable_parameters": model.count_params(),
@@ -324,6 +347,8 @@ def cmd_compare(args) -> int:
             for metric, v in zip(metrics.METRICS, values):
                 scores.setdefault((dataset, metric), {}).setdefault(model, []).append(v)
 
+    # every test runs before either table is opened, so a failed run leaves no partial table
+    results = [(key, stats.compare_models(rows_by_model)) for key, rows_by_model in sorted(scores.items())]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "compare_friedman.csv"
@@ -333,8 +358,7 @@ def cmd_compare(args) -> int:
         wp = csv.writer(fh_p)
         ws.writerow(["dataset", "metric", "friedman_statistic", "friedman_p", "method", "note"])
         wp.writerow(["dataset", "metric", "model_a", "model_b", "w_plus", "p", "method"])
-        for (dataset, metric), rows_by_model in sorted(scores.items()):
-            result = stats.compare_models(rows_by_model)
+        for (dataset, metric), result in results:
             fr = result["friedman"]
             note = "" if fr is not None else "friedman skipped: fewer than 3 models"
             ws.writerow([dataset, metric,
@@ -406,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_render)
 
-    b = sub.add_parser("benchmark", help="measure streaming throughput and report budgets")
+    b = sub.add_parser("benchmark", help="measure streaming throughput and training-step time, and report budgets")
     b.add_argument("--checkpoint")
     b.add_argument("--arch", choices=ARCHITECTURES, default="lstm")
     b.add_argument("--cond-dim", type=int, default=2)

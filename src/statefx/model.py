@@ -55,6 +55,7 @@ from .numerics import sigmoid, softsign
 POST_UNITS = 4          # every variant reduces to 4 before conditioning
 HIST_LEN = WINDOW_LEN - 1
 MAX_COND_DIM = 64       # conditioning parameters FiLM reads; the largest oracle effect has 3
+STEP_BLOCK = 128        # steps per block of _matmul_steps: 1 MB of (4n, 32)-lane gate rows
 
 # Per-sample FLOPs reported in the reference comparison, used only as
 # calibration constants for count_flops (see FLOPS_CONVENTION).
@@ -93,6 +94,15 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     outer products a[i, t] b[i, t]^T, one BLAS matmul per lane.  Takes any
     strided layout (lane-major, a real part, a sliding window) as it is."""
     return (a.swapaxes(1, 2) @ b).sum(axis=0)
+
+
+def _matmul_steps(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` for (B, L, k) ``a`` into ``out`` (B, L, m), STEP_BLOCK steps at
+    a time.  Into feature-major memory each lane writes one element per cache
+    line, and its neighbours write the rest; a block keeps those lines in cache."""
+    for t in range(0, a.shape[1], STEP_BLOCK):
+        np.matmul(a[:, t:t + STEP_BLOCK], b, out=out[:, t:t + STEP_BLOCK])
+    return out
 
 
 def _per_substate(x: np.ndarray) -> np.ndarray:
@@ -466,7 +476,8 @@ class Model:
             d_post = d_ohat * (1.0 - o_hat ** 2) if spec.post_tanh else d_ohat
             g["post.W"] = _gram(d_post, o_rec)
             g["post.b"] = d_post.sum(axis=(0, 1))
-            d_useq = scan_pullback(d_post @ prm["post.W"], g)
+            # in o_rec's memory layout, so the LSTM family's adjoint reads it feature-major
+            d_useq = scan_pullback(_matmul_steps(d_post, prm["post.W"], np.empty_like(o_rec)), g)
 
             g["proj.W"] = _gram(d_useq, win[:, :, :spec.proj_window])
             g["proj.b"] = d_useq.sum(axis=(0, 1))
@@ -478,19 +489,28 @@ class Model:
     # Each returns o_rec (B, L, readout), the recurrent state at the chunk end
     # and pullback(d_orec, g): it adds the layer's weight gradients to g and
     # returns the gradient with respect to u_seq.
+    #
+    # The LSTM family keeps its per-step arrays (zin, k, S and d_orec, which
+    # takes o_rec's layout) in time-major (L, B, ·) shapes over feature-major
+    # (L, ·, B) memory, so every step of its scans reads and writes contiguous
+    # (·, B) blocks; o_rec is a (B, L, n) view of S.  The weight-gradient
+    # products read time-major copies instead, one BLAS call per lane.
 
     def _lstm_inputs(self, u_seq, win):
-        """Time-major gate inputs zin and, for ED, the encoder candidates k = [ch | cc]."""
+        """Gate inputs zin (L, B, 4n) and, for ED, the encoder candidates
+        k = [ch | cc] (L, B, 2n), written straight into feature-major memory."""
         prm = self.params
         B, L, _ = u_seq.shape
-        zin = (u_seq @ prm["lstm.U"].T + prm["lstm.b"]).swapaxes(0, 1)
+        zin = np.empty((L, 4 * LSTM_UNITS, B))
+        _matmul_steps(u_seq, prm["lstm.U"].T, zin.transpose(2, 0, 1))
+        zin += prm["lstm.b"][:, None]
         if self.config.architecture != "ed":
-            return zin, None
+            return zin.transpose(0, 2, 1), None
         blocks = win[:, :, ED_SPLIT:].reshape(B, L, LSTM_UNITS, cells.ED_KERNEL)
-        k = np.empty((L, B, 2, LSTM_UNITS))
+        k = np.empty((L, 2, LSTM_UNITS, B))
         for j, x in enumerate("hc"):
-            np.add(blocks @ prm[f"enc.kernel_{x}"], prm[f"enc.bias_{x}"][0], out=k[:, :, j].swapaxes(0, 1))
-        return zin, k.reshape(L, B, 2 * LSTM_UNITS)
+            np.add(blocks @ prm[f"enc.kernel_{x}"], prm[f"enc.bias_{x}"][0], out=k[:, j].transpose(2, 0, 1))
+        return zin.transpose(0, 2, 1), k.reshape(L, 2 * LSTM_UNITS, B).transpose(0, 2, 1)
 
     def _scan_lstm_family(self, state, u_seq, win):
         prm = self.params
@@ -502,11 +522,12 @@ class Model:
             # rebuilt rather than held, so a forward-only call frees them when the scan returns
             zin, k = self._lstm_inputs(u_seq, win)
             d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec.swapaxes(0, 1), zin, S, k)
-            d_z = d_z.swapaxes(0, 1)
-            g["lstm.W"] = _gram(d_z, h_in.swapaxes(0, 1))
+            del zin, k                                  # freed before the time-major copies
+            d_z = np.ascontiguousarray(d_z).swapaxes(0, 1)
+            g["lstm.W"] = _gram(d_z, np.ascontiguousarray(h_in).swapaxes(0, 1))
             g["lstm.U"] = _gram(d_z, u_seq)
             g["lstm.b"] = d_z.sum(axis=(0, 1))
-            if k is not None:
+            if d_ch is not None:
                 # ED: unit o's candidate reads block o of the oldest half of each
                 # window, so the kernel gradient sums the diagonal blocks of the product
                 for x, d in (("h", d_ch), ("c", d_cc)):

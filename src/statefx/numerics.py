@@ -14,12 +14,14 @@ from .errors import DimensionError, InputError
 MAG_FLOOR = 1e-7
 
 
-def sigmoid(x):
-    """Logistic function, overflow-safe on both tails."""
+def sigmoid(x, out=None):
+    """Logistic function, overflow-safe on both tails; written into the
+    float64 array ``out`` when one is given."""
     x = np.asarray(x, dtype=np.float64)
     # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, from one exp of -|x|
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    q = np.where(x >= 0, 1.0, e)
+    out = np.divide(q, 1.0 + e, q if out is None else out)
     return out if out.ndim else float(out)
 
 

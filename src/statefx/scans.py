@@ -3,18 +3,23 @@
 Only the stateful parts live here; everything batched across time
 (projections, readouts, conditioning) stays in vectorized numpy in the
 model and training modules.  The LSTM family steps one sample at a time
-over time-major arrays and keeps one state buffer S (L + 1, B, 2n): row 0
-holds the entering [h | c], row t + 1 the state after step t.  Its adjoint
-reads the states entering each step as views of S, rebuilds every gate in
-batch and carries only (d_h, d_c) through its reverse loop.  Every linear
-recurrence needs no step loop: over all lanes it is one unit lower-banded
-system, one LAPACK banded triangular solve.  The diagonal ones (LRU/S4D:
-constant multiplier; S6: per-step) are the bidiagonal case
+and keeps one state buffer S (L + 1, B, 2n): row 0 holds the entering
+[h | c], row t + 1 the state after step t.  Its arrays keep these
+time-major shapes but lie feature-major in memory, (L, features, B), so
+that each step's gate rows, state halves and adjoint coefficients are
+contiguous (·, B) blocks; inputs in any other layout give the same bits.
+Its adjoint reads the states entering each step as views of S, rebuilds
+every gate in batch and carries only (d_h, d_c) through its reverse loop.
+Every linear recurrence needs no step loop: over all lanes it is one unit
+lower-banded system, one LAPACK banded triangular solve.  The diagonal ones
+(LRU/S4D: constant multiplier; S6: per-step) are the bidiagonal case
 h_t = a_t*h_{t-1} + p_t, their adjoint the same band solved transposed;
 the IIR filters of the data oracles have one subdiagonal per feedback tap.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs, ztbtrs
@@ -35,21 +40,28 @@ def lstm_forward(W, zin, h0, c0, k=None):
 
     For ED, ``k = [ch | cc]`` (L, B, 2n) holds the encoder candidates and
     each step first merges its entering row of S as sigmoid(S[t]) * k[t].
+    S (L + 1, B, 2n) is a view of feature-major (L + 1, 2n, B) memory.
     """
     (L, B, _), n = zin.shape, W.shape[1]
-    S = np.empty((L + 1, B, 2 * n))
-    S[0, :, :n], S[0, :, n:] = h0, c0
-    h, c, Wt = S[0, :, :n], S[0, :, n:], W.T
-    for t, (zin_t, h_next, c_next) in enumerate(zip(zin, S[1:, :, :n], S[1:, :, n:])):
-        if k is not None:
-            m = sigmoid(S[t]) * k[t]
-            h, c = m[:, :n], m[:, n:]
-        z = np.dot(h, Wt) + zin_t
-        gates = sigmoid(z[:, :3 * n])
-        g = np.tanh(z[:, 3 * n:])
-        c = np.add(gates[:, :n] * c, gates[:, n:2 * n] * g, c_next)
-        h = np.multiply(gates[:, 2 * n:], np.tanh(c), h_next)
-    return S
+    F = np.empty((L + 1, 2 * n, B))                     # S, feature-major
+    F[0, :n], F[0, n:] = h0.T, c0.T
+    z, sg, m = np.empty((4 * n, B)), np.empty((3 * n, B)), np.empty((2 * n, B))
+    zs, g = z[:3 * n], z[3 * n:]
+    f, i, o = sg[:n], sg[n:2 * n], sg[2 * n:]
+    hm, cm = m[:n], m[n:]
+    h, c = F[0, :n], F[0, n:]
+    ks = repeat(None) if k is None else k.transpose(0, 2, 1)
+    for zin_t, k_t, S_t, h_next, c_next in zip(zin.transpose(0, 2, 1), ks, F, F[1:, :n], F[1:, n:]):
+        if k_t is not None:
+            np.multiply(sigmoid(S_t, m), k_t, m)
+            h, c = hm, cm
+        np.dot(W, h, z)
+        z += zin_t
+        sigmoid(zs, sg)
+        np.tanh(g, g)
+        c = np.add(f * c, i * g, c_next)
+        h = np.multiply(o, np.tanh(c), h_next)
+    return F.transpose(0, 2, 1)
 
 
 def lstm_backward(W, d_orec, zin, S, k=None):
@@ -57,52 +69,56 @@ def lstm_backward(W, d_orec, zin, S, k=None):
 
     ``d_orec`` (L, B, n) is the gradient reaching the hidden states
     S[1:, :, :n].  The gates and the adjoint's per-step coefficients are
-    rebuilt in batch; the reverse loop writes only into buffers made before
-    it.  Returns (d_z, d_ch, d_cc, h_in), time-major: the gate
+    rebuilt in batch into feature-major (L, ·, B) buffers, and the reverse
+    loop writes only into buffers made before it.  Returns (d_z, d_ch, d_cc,
+    h_in) as (L, B, ·) views of feature-major memory: the gate
     pre-activation gradient (L, B, 4n), the encoder candidate gradients (ED
     only, else None) and the (merged) hidden states entering each step.
     """
     L, B, n = d_orec.shape
-    sg = sigmoid(S[:-1]) if k is not None else None     # [sh | sc]
-    m = sg * k if k is not None else S[:-1]              # the states entering each step
-    h_in, c_in = m[..., :n], m[..., n:]
-    z = (h_in.reshape(L * B, n) @ W.T).reshape(L, B, 4, n)
-    z += zin.reshape(L, B, 4, n)
-    f, i, o = np.moveaxis(sigmoid(z[:, :, :3]), 2, 0)
-    g = np.tanh(z[:, :, 3], out=z[:, :, 3])
+    F = S.transpose(0, 2, 1)                            # (L + 1, 2n, B)
+    sg = sigmoid(F[:-1]) if k is not None else None     # [sh | sc]
+    m = sg * k.transpose(0, 2, 1) if k is not None else F[:-1]   # the states entering each step
+    h_in, c_in = m[:, :n], m[:, n:]
+    z = np.empty((L, 4, n, B))
+    np.matmul(W, h_in, out=z.reshape(L, 4 * n, B))
+    z += zin.transpose(0, 2, 1).reshape(L, 4, n, B)
+    f, i, o = sigmoid(z[:, :3]).transpose(1, 0, 2, 3)
+    g = np.tanh(z[:, 3], out=z[:, 3])
     # d_z_t = [d_c_t * kf, d_c_t * ki, d_h_t * ko, d_c_t * kg] with
     # d_c_t = d_c + d_h_t * oc_t; kf, ki and kg take z's place, d_z takes theirs
-    np.multiply(c_in, f * (1.0 - f), out=z[:, :, 0])
-    np.multiply(g, i * (1.0 - i), out=z[:, :, 1])
-    np.multiply(i, 1.0 - g * g, out=z[:, :, 3])         # over g, after its last reader
-    tc = np.tanh(S[1:, :, n:])
+    np.multiply(c_in, f * (1.0 - f), out=z[:, 0])
+    np.multiply(g, i * (1.0 - i), out=z[:, 1])
+    np.multiply(i, 1.0 - g * g, out=z[:, 3])           # over g, after its last reader
+    tc = np.tanh(F[1:, n:])
     ko = tc * o * (1.0 - o)
     oc = o * (1.0 - tc * tc)
-    # carried into the step before: d_h = (d_z_t @ W) * kh_t, d_c = d_c_t * kc_t
+    # carried into the step before: d_h = (W.T @ d_z_t) * kh_t, d_c = d_c_t * kc_t
+    kc, kh = f, [None] * L                              # f[t] is one contiguous (n, B) block
     if k is not None:
-        kh = m[..., :n] * (1.0 - sg[..., :n])
-        kc = m[..., n:] * (1.0 - sg[..., n:]) * f
-        np.multiply(f, sg[..., n:], out=sg[..., n:])     # f * sc, the cell's share in d_cc
-    else:
-        kc, kh = f.copy(), [None] * L                    # contiguous rows for the loop
-    d_h, d_c, d_ht = np.zeros((3, B, n))
+        kh = h_in * (1.0 - sg[:, :n])
+        kc = c_in * (1.0 - sg[:, n:]) * f
+        np.multiply(f, sg[:, n:], out=sg[:, n:])       # f * sc, the cell's share in d_cc
+    d_h, d_c, d_ht = np.zeros((3, n, B))
+    Wt = W.T
     # each d_c_t is written over oc_t, its last reader, so oc ends up holding them all
-    for d_o, oc_t, ko_t, kc_t, kh_t, z_t in zip(d_orec[::-1], oc[::-1], ko[::-1], kc[::-1],
-                                                kh[::-1], z[::-1]):
+    for d_o, oc_t, ko_t, kc_t, kh_t, z_t in zip(d_orec[::-1].transpose(0, 2, 1), oc[::-1], ko[::-1],
+                                                kc[::-1], kh[::-1], z[::-1]):
         np.add(d_o, d_h, d_ht)
         d_ct = np.multiply(d_ht, oc_t, oc_t)
         d_ct += d_c
-        np.multiply(z_t, d_ct[:, None], z_t)
-        np.multiply(ko_t, d_ht, z_t[:, 2])
-        np.dot(z_t.reshape(B, 4 * n), W, d_h)
+        np.multiply(z_t, d_ct, z_t)
+        np.multiply(ko_t, d_ht, z_t[2])
+        np.dot(Wt, z_t.reshape(4 * n, B), d_h)
         if kh_t is not None:
             d_h *= kh_t
         np.multiply(d_ct, kc_t, d_c)
-    d_z = z.reshape(L, B, 4 * n)
-    if k is None:
-        return d_z, None, None, h_in
-    d_ch = (d_z.reshape(L * B, 4 * n) @ W).reshape(L, B, n) * sg[..., :n]
-    return d_z, d_ch, np.multiply(oc, sg[..., n:], out=oc), h_in
+    d_z = z.reshape(L, 4 * n, B)
+    d_ch = d_cc = None
+    if k is not None:
+        d_ch = (np.matmul(Wt, d_z) * sg[:, :n]).transpose(0, 2, 1)
+        d_cc = np.multiply(oc, sg[:, n:], out=oc).transpose(0, 2, 1)
+    return d_z.transpose(0, 2, 1), d_ch, d_cc, h_in.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ def test_train_eval_render_benchmark_cycle(dataset_dir, tmp_path):
     rtf = report["real_time_factor_48k_by_buffer"]
     assert sorted(rtf, key=int) == ["32", "128", "512"]
     assert all(np.isfinite(v) and v > 0 for v in rtf.values())
+    steps = report["train_step_ms_by_lanes"]
+    assert sorted(steps, key=int) == ["1", "3", "6"]
+    assert all(np.isfinite(v) and v > 0 for v in steps.values())
     assert report["trainable_parameters"] == 817 - 24 + 16  # s4d with P=1
     assert report["flops_per_sample"] <= 1500
 
@@ -517,6 +520,23 @@ def test_compare_nonfinite_metric_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
 
 
+def test_compare_failure_leaves_no_partial_table(tmp_path, capsys):
+    # 6 blocks x 3 models; the Friedman test meets the NaN at "mse", after the
+    # esr, m_sf and m_stft tables that sort before it
+    for comp in range(6):
+        for model in ("aaa", "bbb", "ccc"):
+            v = float(RNG.uniform(0.1, 1.0))
+            mse = float("nan") if (comp, model) == (3, "bbb") else v
+            write_report_csv(tmp_path / f"eval_{model}_c{comp}.csv",
+                             [MetricReport(mse=mse, esr=v, nrmse=v, m_sf=v, m_stft=v, model=model,
+                                           dataset="fx", split="mean")])
+    out = tmp_path / "c"
+    code = run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(out.glob("compare_*.csv"))
+
+
 def test_compare_ragged_inputs_error(tmp_path):
     _fake_eval_csv(tmp_path / "eval_a_c0.csv", "a", "fx", 0.5)
     _fake_eval_csv(tmp_path / "eval_a_c1.csv", "a", "fx", 0.4)
@@ -536,6 +556,25 @@ def test_compare_malformed_eval_csv_format_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert code == cli.EXIT_FORMAT
     assert err.startswith("format error:") and str(path) in err and "Traceback" not in err
+
+
+def test_compare_overlong_csv_field_format_error(tmp_path, capsys):
+    # the csv module refuses a field above its 131072-character limit
+    path = tmp_path / "eval_a_c0.csv"
+    path.write_text('model,dataset,split,mse\na,"' + "x" * 200_000 + '",mean,0.5\n')
+    code = run(["compare", str(path), "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FORMAT
+    assert err.startswith("format error:") and str(path) in err and "Traceback" not in err
+
+
+def test_render_overlong_schedule_field_format_error(tmp_path, capsys):
+    sched = tmp_path / "sched.csv"
+    sched.write_text('sample,p0,p1\n0,"' + "5" * 200_000 + '",0.5\n')
+    assert run(_render_inputs(tmp_path) + ["--params-csv", str(sched)]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and str(sched) in err and "Traceback" not in err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_compare_no_files_error(tmp_path):

@@ -1,5 +1,6 @@
 """The banded diagonal scan against a plain per-step loop, and its adjoint;
-the LSTM family's state buffer against the scalar step oracles."""
+the LSTM family's state buffer against the scalar step oracles, and its
+results under every input memory layout."""
 
 import numpy as np
 import pytest
@@ -200,3 +201,28 @@ def test_lstm_backward_leaves_its_inputs_unchanged(merge):
     assert all(np.array_equal(a, b) for a, b in zip(inputs, (W, d_orec, zin, S, k)))
     assert all((a is None and b is None) or np.array_equal(a, b) for a, b in zip(first, second))
     assert (first[1] is None) == (not merge)
+
+
+def _layouts(a):
+    """An (L, B, m) array in three memories: C-contiguous, a time-major view of
+    (B, L, m) memory and a view of the feature-major (L, m, B) memory the model passes."""
+    return (np.ascontiguousarray(a), np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1),
+            np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("merge", [False, True], ids=["lstm", "ed"])
+def test_lstm_scans_bit_identical_under_every_input_layout(merge, B):
+    rng = np.random.default_rng(13)
+    L, n = 50, 8
+    W = rng.normal(size=(4 * n, n)) * 0.5
+    zin, k, d_orec = (rng.normal(size=(L, B, m)) for m in (4 * n, 2 * n, n))
+    h0, c0 = rng.normal(size=(2, B, n))
+    runs = []
+    for zl, kl, dl in zip(_layouts(zin), _layouts(k), _layouts(d_orec)):
+        kl = kl if merge else None
+        S = lstm_forward(W, zl, h0, c0, kl)
+        runs.append((S,) + lstm_backward(W, dl, zl, S, kl))
+    for run in runs[1:]:
+        assert all((a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b))
+                   for a, b in zip(runs[0], run))
