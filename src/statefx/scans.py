@@ -91,27 +91,30 @@ def lstm_backward(W, d_orec, zin, S, k=None):
     np.multiply(g, i * (1.0 - i), out=z[:, 1])
     np.multiply(i, 1.0 - g * g, out=z[:, 3])           # over g, after its last reader
     tc = np.tanh(F[1:, n:])
-    ko = tc * o * (1.0 - o)
+    flat = (L, n * B)                                   # each step's (n, B) block as one row
+    ko = (tc * o * (1.0 - o)).reshape(flat)
     oc = o * (1.0 - tc * tc)
     # carried into the step before: d_h = (W.T @ d_z_t) * kh_t, d_c = d_c_t * kc_t
-    kc, kh = f, [None] * L                              # f[t] is one contiguous (n, B) block
+    kc, kh = f.reshape(flat), [None] * L                # f[t] is one contiguous block: a view
     if k is not None:
-        kh = h_in * (1.0 - sg[:, :n])
-        kc = c_in * (1.0 - sg[:, n:]) * f
+        kh = (h_in * (1.0 - sg[:, :n])).reshape(flat)
+        kc = (c_in * (1.0 - sg[:, n:]) * f).reshape(flat)
         np.multiply(f, sg[:, n:], out=sg[:, n:])       # f * sc, the cell's share in d_cc
-    d_h, d_c, d_ht = np.zeros((3, n, B))
+    # the carried adjoints as rows; only the d_o add and the product see d_h, d_ht as (n, B)
+    d_h, d_ht = np.zeros((2, n, B))
+    d_h_row, d_ht_row, d_c = d_h.reshape(-1), d_ht.reshape(-1), np.zeros(n * B)
     Wt = W.T
     # each d_c_t is written over oc_t, its last reader, so oc ends up holding them all
-    for d_o, oc_t, ko_t, kc_t, kh_t, z_t in zip(d_orec[::-1].transpose(0, 2, 1), oc[::-1], ko[::-1],
-                                                kc[::-1], kh[::-1], z[::-1]):
+    for d_o, oc_t, ko_t, kc_t, kh_t, z_t in zip(d_orec[::-1].transpose(0, 2, 1), oc.reshape(flat)[::-1],
+                                                ko[::-1], kc[::-1], kh[::-1], z.reshape(L, 4, n * B)[::-1]):
         np.add(d_o, d_h, d_ht)
-        d_ct = np.multiply(d_ht, oc_t, oc_t)
+        d_ct = np.multiply(d_ht_row, oc_t, oc_t)
         d_ct += d_c
         np.multiply(z_t, d_ct, z_t)
-        np.multiply(ko_t, d_ht, z_t[2])
+        np.multiply(ko_t, d_ht_row, z_t[2])
         np.dot(Wt, z_t.reshape(4 * n, B), d_h)
         if kh_t is not None:
-            d_h *= kh_t
+            d_h_row *= kh_t
         np.multiply(d_ct, kc_t, d_c)
     d_z = z.reshape(L, 4 * n, B)
     d_ch = d_cc = None

@@ -30,6 +30,8 @@ def test_sigmoid_bits_match_masked_form():
     inputs += [rng.normal(scale=scale, size=1 << 20) for scale in (1.0, 10.0, 100.0, 1000.0)]
     for x in inputs:
         assert np.array_equal(sigmoid(x).view(np.int64), masked_sigmoid(x).view(np.int64))
+        out = np.empty_like(x)
+        assert sigmoid(x, out) is out and np.array_equal(out.view(np.int64), masked_sigmoid(x).view(np.int64))
     assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
     assert np.isnan(sigmoid(np.nan))
 
