@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_render)
 
-    b = sub.add_parser("benchmark", help="measure streaming throughput and training-step time, and report budgets")
+    b = sub.add_parser("benchmark", help="measure streaming throughput and training-step time, "
+                                         "and report budgets")
     b.add_argument("--checkpoint")
     b.add_argument("--arch", choices=ARCHITECTURES, default="lstm")
     b.add_argument("--cond-dim", type=int, default=2)
