@@ -141,9 +141,6 @@ class LruWeights:
 
     LTI = DiagLti(M="U", C="W", b="b", b_o="b_o")
 
-    def lam(self) -> np.ndarray:
-        return self.coeffs()[0]
-
     def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal-LTI coefficients (lambda, gamma): the input map is gamma * U."""
         e_nu = np.exp(self.nu)

@@ -1,7 +1,9 @@
 """Command-line entry points: dataset, train, eval, render, benchmark, compare.
 
-Every command writes a run_manifest.json into its output directory and is
-deterministic under a fixed seed (manifest timestamps aside).  Exit codes:
+Each command returns its output directory and artifact names, and ``main``
+writes a run_manifest.json there (``benchmark`` only with ``--out``; a failed
+run writes none).  Every command is deterministic under a fixed seed
+(manifest timestamps aside).  Exit codes:
 0 success, 2 usage, 3 file-format error, 4 numeric error, 5 invalid input,
 incompatibility or an input too large for memory.
 """
@@ -36,16 +38,15 @@ EXIT_NUMERIC = 4
 EXIT_INPUT = 5
 
 
-def _write_manifest(out_dir: Path, command: str, args_dict: dict, seed, started: float,
-                    artifacts: list) -> None:
+def _write_manifest(out_dir: Path, args, started: float, artifacts: list) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
-        "arguments": {k: str(v) for k, v in args_dict.items() if k != "func"},
-        "seed": seed,
+        "command": args.command,
+        "arguments": {k: str(v) for k, v in vars(args).items() if k != "func"},
+        "seed": getattr(args, "seed", None),
         "started": datetime.fromtimestamp(started, timezone.utc).isoformat(),
         "finished": datetime.now(timezone.utc).isoformat(),
-        "artifacts": [str(a) for a in artifacts],
+        "artifacts": artifacts,
         "tool_version": __version__,
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -88,8 +89,7 @@ def _parse_assignments(items, what: str) -> dict:
 # dataset
 # ---------------------------------------------------------------------------
 
-def cmd_dataset(args) -> int:
-    started = time.time()
+def cmd_dataset(args) -> tuple[Path, list]:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise InputError(f"{out} exists and is not empty; pass --force to overwrite")
@@ -106,10 +106,8 @@ def cmd_dataset(args) -> int:
                               cond_labels=cond_labels,
                               instrument_paths=args.instrument or None)
     data.save_dataset(out, recs)
-    _write_manifest(out, "dataset", vars(args), args.seed, started,
-                    sorted(str(p.name) for p in out.glob("*.wav")))
     print(f"wrote {len(recs)} recording pairs ({args.duration:g} s each) to {out}")
-    return EXIT_OK
+    return out, sorted(p.name for p in out.glob("*.wav"))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +121,7 @@ def _load_split(dataset_dir, composition: int):
     return recs, meta, train_s, val_s, test_s
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> tuple[Path, list]:
     out = Path(args.out)
     tcfg = training.TrainConfig(
         initial_lr=args.lr, max_epochs=args.max_epochs, patience=args.patience,
@@ -137,20 +134,17 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ckpt.save(out / "checkpoint.sfx")
     history.write_csv(out / "history.csv")
-    _write_manifest(out, "train", vars(args), args.seed, started,
-                    ["checkpoint.sfx", "history.csv"])
     print(f"trained {args.arch} on composition {args.composition}: "
           f"best epoch {history.best_epoch}, val loss {min(history.val_loss):.3e}, "
           f"val ESR {history.val_esr[history.best_epoch]:.3e}")
-    return EXIT_OK
+    return out, ["checkpoint.sfx", "history.csv"]
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def cmd_eval(args) -> tuple[Path, list]:
     out = Path(args.out)
     ckpt = Checkpoint.load(args.checkpoint)
     model = ckpt.to_model()
@@ -173,10 +167,9 @@ def cmd_eval(args) -> int:
     csv_path = out / f"eval_{model.config.architecture}_comp{args.composition}.csv"
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_csv(csv_path, rows)
-    _write_manifest(out, "eval", vars(args), None, started, [csv_path.name])
     summary = "  ".join(f"{m} {getattr(rows[-1], m):.3e}" for m in metrics.METRICS)
     print(f"{model.config.architecture} on {dataset_name} comp{args.composition}: {summary}")
-    return EXIT_OK
+    return out, [csv_path.name]
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +205,7 @@ def _load_schedule(path, n_samples: int, cond_dim: int) -> np.ndarray:
     return sched
 
 
-def cmd_render(args) -> int:
-    started = time.time()
+def cmd_render(args) -> tuple[Path, list]:
     ckpt = Checkpoint.load(args.checkpoint)
     model = ckpt.to_model()
     x = data.load_wav(args.input, sample_rate=model.config.sample_rate)
@@ -233,10 +225,8 @@ def cmd_render(args) -> int:
     y, _ = model.forward_segment(state, x, p)
     out = Path(args.out)
     data.save_wav(out, y, model.config.sample_rate)
-    _write_manifest(out.parent if out.parent != Path("") else Path("."),
-                    "render", vars(args), None, started, [out.name])
     print(f"rendered {len(y)} samples to {out}")
-    return EXIT_OK
+    return out.parent, [out.name]
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +264,7 @@ def _train_step_ms(model, lanes: int) -> float:
     return 1000.0 * float(np.median(times))
 
 
-def cmd_benchmark(args) -> int:
-    started = time.time()
+def cmd_benchmark(args) -> tuple[Path | None, list]:
     if args.checkpoint:
         model = Checkpoint.load(args.checkpoint).to_model()
     else:
@@ -311,22 +300,20 @@ def cmd_benchmark(args) -> int:
             "post_fc": fl.post_fc, "conditioning_block": fl.conditioning_block,
             "output_layer": fl.output_layer},
     }
-    if args.out:
-        out = Path(args.out)
+    out = Path(args.out) if args.out else None
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / "benchmark.json").write_text(json.dumps(lines, indent=2, sort_keys=True))
-        _write_manifest(out, "benchmark", vars(args), None, started, ["benchmark.json"])
     for k, v in lines.items():
         print(f"{k}: {v}")
-    return EXIT_OK
+    return out, ["benchmark.json"]
 
 
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
 
-def cmd_compare(args) -> int:
-    started = time.time()
+def cmd_compare(args) -> tuple[Path, list]:
     paths = sorted(set(p for pat in args.eval_csv for p in globmod.glob(pat)))
     if not paths:
         raise InputError(f"no eval CSVs match {args.eval_csv}")
@@ -367,10 +354,8 @@ def cmd_compare(args) -> int:
             for (m1, m2), res in sorted(result["pairwise"].items()):
                 wp.writerow([dataset, metric, m1, m2,
                              f"{res.statistic:.6g}", f"{res.p_value:.6g}", res.method])
-    _write_manifest(out, "compare", vars(args), None, started,
-                    [summary_path.name, pairwise_path.name])
     print(f"wrote {summary_path} and {pairwise_path}")
-    return EXIT_OK
+    return out, [summary_path.name, pairwise_path.name]
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        out_dir, artifacts = args.func(args)
+        if out_dir is not None:
+            _write_manifest(out_dir, args, started, artifacts)
+        return EXIT_OK
     except FormatError as e:
         print(f"format error: {e}", file=sys.stderr)
         return EXIT_FORMAT

@@ -87,7 +87,9 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch record of a run."""
+    """Per-epoch record of a run: one value per epoch in each of ``SERIES``."""
+
+    SERIES = ("train_loss", "val_loss", "val_esr", "lr")
 
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
@@ -97,19 +99,13 @@ class TrainHistory:
     stop_epoch: int = -1
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "train_loss": np.asarray(self.train_loss, dtype=np.float64),
-            "val_loss": np.asarray(self.val_loss, dtype=np.float64),
-            "val_esr": np.asarray(self.val_esr, dtype=np.float64),
-            "lr": np.asarray(self.lr, dtype=np.float64),
-        }
+        return {name: np.asarray(getattr(self, name), dtype=np.float64) for name in self.SERIES}
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("epoch,train_loss,val_loss,val_esr,lr\n")
-            for e in range(len(self.train_loss)):
-                fh.write(f"{e},{self.train_loss[e]:.12g},{self.val_loss[e]:.12g},"
-                         f"{self.val_esr[e]:.12g},{self.lr[e]:.12g}\n")
+            fh.write(",".join(("epoch",) + self.SERIES) + "\n")
+            for e, row in enumerate(zip(*(getattr(self, name) for name in self.SERIES))):
+                fh.write(",".join([str(e)] + [f"{v:.12g}" for v in row]) + "\n")
 
 
 class TrainingDivergedError(NumericError):
@@ -231,18 +227,21 @@ def _stack_p(streams: list, cond_dim: int):
 def evaluate_streams(model: Model, streams: list):
     """Streaming predictions with fresh state per stream.
 
-    Streams of equal length are processed as one batch.  Returns
-    (total squared error, total target energy, total MSE numerator count)
-    folded into (mse, esr) over the whole set, plus the per-stream outputs.
+    Returns (pooled MSE, pooled ESR, per-stream outputs): squared error and
+    target energy are summed over every sample of every stream, and the ESR
+    is ``inf`` when the targets hold no energy.  Streams of equal length run
+    together, in batches of at most ``TrainConfig.batch_size`` (32) lanes.
     """
     outputs = [None] * len(streams)
     by_len: dict[int, list[int]] = {}
     for idx, s in enumerate(streams):
         by_len.setdefault(len(s.x), []).append(idx)
+    batches = [idxs[a:a + TrainConfig.batch_size] for idxs in by_len.values()
+               for a in range(0, len(idxs), TrainConfig.batch_size)]
     sq_sum = 0.0
     energy = 0.0
     count = 0
-    for length, idxs in by_len.items():
+    for idxs in batches:
         xs = np.stack([streams[i].x for i in idxs])
         ps = _stack_p([streams[i] for i in idxs], model.config.cond_dim)
         state = model.init_state(batch=len(idxs))
@@ -252,7 +251,7 @@ def evaluate_streams(model: Model, streams: list):
             d = streams[i].y - y[row]
             sq_sum += float(d @ d)
             energy += float(streams[i].y @ streams[i].y)
-            count += length
+            count += len(streams[i].x)
     if count == 0:
         raise InputError("no samples to evaluate")
     mse = sq_sum / count
@@ -326,7 +325,7 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
         if epoch - history.best_epoch > cfg.patience:
             break
 
-    model.params = {k: v.copy() for k, v in best_params.items()}
+    model.params = best_params
     ckpt = Checkpoint.from_model(model, history.as_arrays(), history.best_epoch)
     return ckpt, history
 

@@ -241,7 +241,7 @@ def test_lru_homogeneous_decay():
     w.b_im[:] = 0.0
     v = RNG.normal(size=12) + 1j * RNG.normal(size=12)
     _, end = scan(layer("lru", lru=w), np.zeros((5, 6)), v.copy())
-    assert np.allclose(end["h"], w.lam() ** 5 * v, rtol=1e-12)
+    assert np.allclose(end["h"], w.coeffs()[0] ** 5 * v, rtol=1e-12)
 
 
 def test_lru_memoryless_limit():
@@ -275,7 +275,7 @@ def test_lru_matches_complex_loop_oracle_impulse_response():
 
 def test_lru_stability_enforced_by_parameterization():
     w = random_lru(RNG)
-    assert np.all(np.abs(w.lam()) < 1.0)
+    assert np.all(np.abs(w.coeffs()[0]) < 1.0)
     w.validate()
     w.nu = np.full(12, -np.inf)
     with pytest.raises(StabilityError):

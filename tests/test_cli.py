@@ -1,5 +1,8 @@
+import ast
 import csv
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,3 +583,89 @@ def test_render_overlong_schedule_field_format_error(tmp_path, capsys):
 def test_compare_no_files_error(tmp_path):
     assert run(["compare", str(tmp_path / "missing_*.csv"),
                 "--out", str(tmp_path / "c")]) == cli.EXIT_INPUT
+
+
+# command: (argv after the command, manifest directory, arguments, seed, artifacts);
+# {d} is the run's directory and {ds} the dataset
+MANIFEST_RUNS = {
+    "dataset": (
+        ["--effect", "identity", "--duration", "0.5", "--seed", "4", "--out", "{d}/out"], "{d}/out",
+        {"effect": "identity", "vary": "None", "fix": "None", "duration": "0.5", "seed": "4",
+         "instrument": "None", "out": "{d}/out", "force": "False"},
+        4, ["input_000.wav", "output_000.wav"]),
+    "train": (
+        ["--arch", "lru", "--dataset", "{ds}", "--composition", "1", "--max-epochs", "1",
+         "--batch-size", "2", "--out", "{d}/out"], "{d}/out",
+        {"arch": "lru", "dataset": "{ds}", "composition": "1", "out": "{d}/out", "lr": "0.0003",
+         "max_epochs": "1", "patience": "10", "segment_len": "2400", "batch_size": "2",
+         "decay_mode": "staged", "seed": "0"},
+        0, ["checkpoint.sfx", "history.csv"]),
+    "eval": (
+        ["--checkpoint", "{d}/m.sfx", "--dataset", "{ds}", "--composition", "1", "--out", "{d}/out"],
+        "{d}/out", {"checkpoint": "{d}/m.sfx", "dataset": "{ds}", "composition": "1", "out": "{d}/out"},
+        None, ["eval_lru_comp1.csv"]),
+    "render": (
+        ["--checkpoint", "{d}/m.sfx", "--input", "{d}/in.wav", "--params", "0.5", "--out", "{d}/o.wav"],
+        "{d}", {"checkpoint": "{d}/m.sfx", "input": "{d}/in.wav", "params": "0.5", "params_csv": "None",
+                "out": "{d}/o.wav"},
+        None, ["o.wav"]),
+    "benchmark": (
+        ["--arch", "lru", "--seconds", "0.05", "--out", "{d}/out"], "{d}/out",
+        {"checkpoint": "None", "arch": "lru", "cond_dim": "2", "seconds": "0.05", "out": "{d}/out"},
+        None, ["benchmark.json"]),
+    "compare": (
+        ["{d}/eval_*.csv", "--out", "{d}/out"], "{d}/out",
+        {"eval_csv": "['{d}/eval_*.csv']", "out": "{d}/out"},
+        None, ["compare_friedman.csv", "compare_wilcoxon.csv"]),
+}
+
+
+def _manifest_run(command, d, dataset_dir):
+    """Inputs for one MANIFEST_RUNS run under a new directory ``d``; returns its argv,
+    manifest directory and expected manifest fields."""
+    d.mkdir()
+    Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1), seed=2)).save(d / "m.sfx")
+    save_wav(d / "in.wav", RNG.uniform(-0.5, 0.5, 1000))
+    for comp in range(5):
+        for model in ("aaa", "bbb", "ccc"):
+            _fake_eval_csv(d / f"eval_{model}_c{comp}.csv", model, "synthfx", 0.1 * comp + len(model))
+    tail, manifest_dir, arguments, seed, artifacts = MANIFEST_RUNS[command]
+    fill = {"d": d, "ds": dataset_dir}
+    expected = {"command": command, "seed": seed, "artifacts": artifacts,
+                "arguments": {"command": command, **{k: v.format(**fill) for k, v in arguments.items()}}}
+    return [command] + [a.format(**fill) for a in tail], Path(manifest_dir.format(**fill)), expected
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_every_command_writes_its_manifest_once_it_succeeds(command, dataset_dir, tmp_path,
+                                                            monkeypatch):
+    argv, manifest_dir, expected = _manifest_run(command, tmp_path / "ok", dataset_dir)
+    assert run(argv) == 0
+    manifest = json.loads((manifest_dir / "run_manifest.json").read_text())
+    assert {k: manifest[k] for k in expected} == expected
+
+    # a run that fails after writing its artifacts (at its closing report) writes no manifest
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError("stdout closed")
+
+    argv, manifest_dir, expected = _manifest_run(command, tmp_path / "failed", dataset_dir)
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert run(argv) == cli.EXIT_INPUT
+    assert all((manifest_dir / a).exists() for a in expected["artifacts"])
+    assert not (manifest_dir / "run_manifest.json").exists()
+
+
+def test_benchmark_without_out_writes_no_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["benchmark", "--arch", "lru", "--seconds", "0.05"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_main_times_runs_and_writes_manifests():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = [f"{f.name}:{n.lineno}" for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
+             for n in ast.walk(f)
+             if isinstance(n, ast.Call) and ast.unparse(n.func) in ("_write_manifest", "time.time")]
+    assert calls == []

@@ -381,3 +381,28 @@ def test_evaluate_streams_metrics():
     target_energy = np.concatenate([s.y for s in streams])
     assert mse_v == pytest.approx(float(np.mean(target_energy ** 2)))
     assert all(np.allclose(o, 0.0) for o in outs)
+
+
+def test_evaluate_streams_caps_lanes_and_matches_per_stream_runs(monkeypatch):
+    # equal-length streams share one batch up to TrainConfig.batch_size lanes, so
+    # validation memory stays bounded however many recordings a grid holds
+    m = Model.init(ModelConfig("lstm", cond_dim=1), seed=3)
+    streams = [Stream(RNG.uniform(-0.5, 0.5, 200), RNG.uniform(-0.5, 0.5, 200), RNG.uniform(0, 1, 1))
+               for _ in range(33)]
+    single = [evaluate_streams(m, [s])[2][0] for s in streams]
+    lanes = []
+    forward = Model.forward_segment
+
+    def counted(self, state, x, p=None):
+        lanes.append(len(x))
+        return forward(self, state, x, p)
+
+    monkeypatch.setattr(Model, "forward_segment", counted)
+    mse_v, esr_v, outs = evaluate_streams(m, streams)
+    assert max(lanes) <= TrainConfig.batch_size and sum(lanes) == len(streams)
+    # lanes are not bit-equal across batch widths (BLAS kernels differ), so compare closely
+    for o, ref in zip(outs, single):
+        np.testing.assert_allclose(o, ref, rtol=1e-12, atol=0)
+    sq = sum(float(np.sum((s.y - ref) ** 2)) for s, ref in zip(streams, single))
+    assert mse_v == pytest.approx(sq / (33 * 200), rel=1e-12)
+    assert esr_v == pytest.approx(sq / sum(float(s.y @ s.y) for s in streams), rel=1e-12)
