@@ -42,14 +42,15 @@ def _write_manifest(out_dir: Path, args, started: float, artifacts: list) -> Non
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
-        "arguments": {k: str(v) for k, v in vars(args).items() if k != "func"},
+        "arguments": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "started": datetime.fromtimestamp(started, timezone.utc).isoformat(),
         "finished": datetime.now(timezone.utc).isoformat(),
         "artifacts": artifacts,
         "tool_version": __version__,
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    # argument values keep their JSON types; anything else (a Path, say) is written as text
+    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
 
 
 def _number(text: str, what: str) -> float:
@@ -224,6 +225,7 @@ def cmd_render(args) -> tuple[Path, list]:
     state = model.init_state(1)
     y, _ = model.forward_segment(state, x, p)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     data.save_wav(out, y, model.config.sample_rate)
     print(f"rendered {len(y)} samples to {out}")
     return out.parent, [out.name]

@@ -15,20 +15,54 @@ lower-banded system, one LAPACK banded triangular solve.  The diagonal ones
 (LRU/S4D: constant multiplier; S6: per-step) are the bidiagonal case
 h_t = a_t*h_{t-1} + p_t, their adjoint the same band solved transposed;
 the IIR filters of the data oracles have one subdiagonal per feedback tap.
+
+That solve is LAPACK's dtbtrs / ztbtrs, taken from SciPy's compiled LAPACK
+wrapper ``scipy/linalg/_flapack``, loaded straight from its file.  Importing
+the ``scipy.linalg`` package for it would cost each process about 150 ms
+and 20 MB of RSS, mostly in what its init pulls in (numpy.f2py through the
+array-API shim, numpy.testing, numpy.ma, importlib.metadata); the wrapper
+alone is the same compiled code that ``scipy.linalg.lapack`` exports, so
+the solutions are the same bits.  Should a SciPy release move that file,
+the import of ``scipy.linalg.lapack`` is the fallback.
 """
 
 from __future__ import annotations
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .errors import NumericError
 from .numerics import sigmoid
 
 # No compiled backend exists; the benchmark's environment fingerprint reads this.
 HAVE_NUMBA = False
+
+
+def _banded_solvers(scipy_dirs):
+    """(dtbtrs, ztbtrs) from the ``linalg/_flapack`` extension in the first of
+    ``scipy_dirs`` that has one, else from ``scipy.linalg.lapack``.
+
+    The extension keeps its own dotted name: its init function is found by
+    the last part, and Python files it in sys.modules under that name, where
+    a later ``import scipy.linalg`` picks it up instead of loading it again.
+    """
+    for d in scipy_dirs:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(d, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = spec_from_file_location("scipy.linalg._flapack", path)
+                flapack = module_from_spec(spec)
+                spec.loader.exec_module(flapack)
+                return flapack.dtbtrs, flapack.ztbtrs
+    from scipy.linalg.lapack import dtbtrs, ztbtrs
+    return dtbtrs, ztbtrs
+
+
+dtbtrs, ztbtrs = _banded_solvers(find_spec("scipy").submodule_search_locations)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,16 @@ def test_render_empty_wav_writes_empty_output(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_render_creates_missing_out_directory(tmp_path):
+    argv = _render_inputs(tmp_path, cond_dim=1)
+    out = tmp_path / "new" / "dir" / "o.wav"
+    argv[-1] = str(out)
+    assert run(argv + ["--params", "0.5"]) == 0
+    assert load_wav(out).shape == (1000,)
+    manifest = json.loads((out.parent / "run_manifest.json").read_text())
+    assert manifest["artifacts"] == ["o.wav"] and manifest["arguments"]["out"] == str(out)
+
+
 def test_render_scheduled_params_match_constant(dataset_dir, tmp_path):
     ckpt_path = tmp_path / "m.sfx"
     Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=1), seed=2)).save(ckpt_path)
@@ -590,34 +600,45 @@ def test_compare_no_files_error(tmp_path):
 MANIFEST_RUNS = {
     "dataset": (
         ["--effect", "identity", "--duration", "0.5", "--seed", "4", "--out", "{d}/out"], "{d}/out",
-        {"effect": "identity", "vary": "None", "fix": "None", "duration": "0.5", "seed": "4",
-         "instrument": "None", "out": "{d}/out", "force": "False"},
+        {"effect": "identity", "vary": None, "fix": None, "duration": 0.5, "seed": 4,
+         "instrument": None, "out": "{d}/out", "force": False},
         4, ["input_000.wav", "output_000.wav"]),
     "train": (
         ["--arch", "lru", "--dataset", "{ds}", "--composition", "1", "--max-epochs", "1",
          "--batch-size", "2", "--out", "{d}/out"], "{d}/out",
-        {"arch": "lru", "dataset": "{ds}", "composition": "1", "out": "{d}/out", "lr": "0.0003",
-         "max_epochs": "1", "patience": "10", "segment_len": "2400", "batch_size": "2",
-         "decay_mode": "staged", "seed": "0"},
+        {"arch": "lru", "dataset": "{ds}", "composition": 1, "out": "{d}/out", "lr": 0.0003,
+         "max_epochs": 1, "patience": 10, "segment_len": 2400, "batch_size": 2,
+         "decay_mode": "staged", "seed": 0},
         0, ["checkpoint.sfx", "history.csv"]),
     "eval": (
         ["--checkpoint", "{d}/m.sfx", "--dataset", "{ds}", "--composition", "1", "--out", "{d}/out"],
-        "{d}/out", {"checkpoint": "{d}/m.sfx", "dataset": "{ds}", "composition": "1", "out": "{d}/out"},
+        "{d}/out", {"checkpoint": "{d}/m.sfx", "dataset": "{ds}", "composition": 1, "out": "{d}/out"},
         None, ["eval_lru_comp1.csv"]),
     "render": (
         ["--checkpoint", "{d}/m.sfx", "--input", "{d}/in.wav", "--params", "0.5", "--out", "{d}/o.wav"],
-        "{d}", {"checkpoint": "{d}/m.sfx", "input": "{d}/in.wav", "params": "0.5", "params_csv": "None",
+        "{d}", {"checkpoint": "{d}/m.sfx", "input": "{d}/in.wav", "params": "0.5", "params_csv": None,
                 "out": "{d}/o.wav"},
         None, ["o.wav"]),
     "benchmark": (
         ["--arch", "lru", "--seconds", "0.05", "--out", "{d}/out"], "{d}/out",
-        {"checkpoint": "None", "arch": "lru", "cond_dim": "2", "seconds": "0.05", "out": "{d}/out"},
+        {"checkpoint": None, "arch": "lru", "cond_dim": 2, "seconds": 0.05, "out": "{d}/out"},
         None, ["benchmark.json"]),
     "compare": (
         ["{d}/eval_*.csv", "--out", "{d}/out"], "{d}/out",
-        {"eval_csv": "['{d}/eval_*.csv']", "out": "{d}/out"},
+        {"eval_csv": ["{d}/eval_*.csv"], "out": "{d}/out"},
         None, ["compare_friedman.csv", "compare_wilcoxon.csv"]),
 }
+
+
+def _fill(value, fill):
+    """``value`` with every string in it formatted with ``fill``."""
+    if isinstance(value, str):
+        return value.format(**fill)
+    if isinstance(value, list):
+        return [_fill(v, fill) for v in value]
+    if isinstance(value, dict):
+        return {k: _fill(v, fill) for k, v in value.items()}
+    return value
 
 
 def _manifest_run(command, d, dataset_dir):
@@ -632,8 +653,8 @@ def _manifest_run(command, d, dataset_dir):
     tail, manifest_dir, arguments, seed, artifacts = MANIFEST_RUNS[command]
     fill = {"d": d, "ds": dataset_dir}
     expected = {"command": command, "seed": seed, "artifacts": artifacts,
-                "arguments": {"command": command, **{k: v.format(**fill) for k, v in arguments.items()}}}
-    return [command] + [a.format(**fill) for a in tail], Path(manifest_dir.format(**fill)), expected
+                "arguments": {"command": command, **_fill(arguments, fill)}}
+    return [command] + _fill(tail, fill), Path(manifest_dir.format(**fill)), expected
 
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
@@ -642,7 +663,9 @@ def test_every_command_writes_its_manifest_once_it_succeeds(command, dataset_dir
     argv, manifest_dir, expected = _manifest_run(command, tmp_path / "ok", dataset_dir)
     assert run(argv) == 0
     manifest = json.loads((manifest_dir / "run_manifest.json").read_text())
-    assert {k: manifest[k] for k in expected} == expected
+    # compared as JSON text, so 4 and 4.0, or 0 and false, stay apart
+    got = {k: manifest[k] for k in expected}
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     # a run that fails after writing its artifacts (at its closing report) writes no manifest
     class ClosedStdout:

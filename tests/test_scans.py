@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.signal import lfilter
 
+from statefx import scans
 from statefx.data import _rbj_lowpass, _rbj_peaking
 from statefx.scans import diag_scan, diag_scan_backward, linear_filter, lstm_backward, lstm_forward
 
@@ -124,6 +126,24 @@ def test_scan_overwrites_lane_major_input_only(cplx):
     H2 = diag_scan(h0, a, lane_major)
     assert np.shares_memory(H2, lane_major)
     np.testing.assert_array_equal(H2, H)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("trans", ["N", "C"])
+def test_banded_solve_bit_identical_to_scipy_linalg_lapack(cplx, trans):
+    # scans loads LAPACK's banded solve from SciPy's compiled wrapper file
+    rng = np.random.default_rng(9)
+    band = np.asfortranarray(rng.uniform(-0.6, 0.6, (3, 500)))
+    rhs = rng.standard_normal(500)
+    if cplx:
+        band = band + 1j * rng.uniform(-0.6, 0.6, band.shape)
+        rhs = rhs + 1j * rng.standard_normal(500)
+    ours, ref = (scans.ztbtrs, lapack.ztbtrs) if cplx else (scans.dtbtrs, lapack.dtbtrs)
+    x, info = ours(band, rhs, "L", trans, "U")
+    x_ref, info_ref = ref(band, rhs, "L", trans, "U")
+    assert info == info_ref == 0
+    np.testing.assert_array_equal(x, x_ref)
+    assert not np.array_equal(x, rhs)
 
 
 # ---------------------------------------------------------------------------
