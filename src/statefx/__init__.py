@@ -9,6 +9,7 @@ and compared with rank-based significance tests.
 
 __version__ = "0.1.0"
 
+from .cells import sigmoid, softsign
 from .data import (
     EFFECTS,
     OracleEffect,
@@ -43,6 +44,7 @@ from .metrics import (
     multires_stft_metric,
     nrmse,
     spectral_flux_metric,
+    stft_mag,
 )
 from .model import (
     ARCHITECTURES,
@@ -51,7 +53,6 @@ from .model import (
     Model,
     ModelConfig,
 )
-from .numerics import sigmoid, softsign, stft_mag
 from .stats import TestResult, compare_models, friedman_test, wilcoxon_signed_rank
 from .training import (
     AdamState,

@@ -1,5 +1,5 @@
-"""Weight views, initialization and constants of the five recurrent layers
-and the shared input projection.
+"""The layers of the five networks: their weights, initializers, constants
+and elementwise functions.
 
 Every network maps the 64 most recent input samples to one output sample.
 Windows are stored newest-first: ``window[0]`` is the current sample,
@@ -8,10 +8,12 @@ the recurrent layer's input size (4 for the LSTM family, 6 for the
 linear-recurrence family), the recurrent layer updates its state, and a
 readout hands a small vector to the rest of the network.
 
-The dataclasses here are views over a model's named parameters, the
-``init_*`` functions draw their starting values, and LRU and S4D share
+Each layer is one dataclass: a view over a model's named parameters whose
+``init`` classmethod draws their starting values and whose ``validate``,
+where it has one, rejects unstable weights.  LRU and S4D share
 ``diag_lti_constants``: they differ only in ``coeffs()`` and in the field
-names their ``LTI`` attribute gives.  The equations themselves live in
+names their ``LTI`` attribute gives.  The activations (sigmoid, softsign,
+softplus) close the module.  The equations themselves live in
 ``statefx.model``: ``Model.forward_sample`` is the per-sample reference,
 ``Model.forward_segment`` the batched route.
 """
@@ -50,6 +52,11 @@ class Projection:
     W: np.ndarray  # (units, window_len)
     b: np.ndarray  # (units,)
 
+    @classmethod
+    def init(cls, rng: np.random.Generator, units: int, window: int) -> Projection:
+        bound = 1.0 / np.sqrt(window)
+        return cls(W=rng.uniform(-bound, bound, (units, window)), b=np.zeros(units))
+
 
 # ---------------------------------------------------------------------------
 # LSTM
@@ -62,6 +69,15 @@ class LstmWeights:
     W: np.ndarray  # (32, 8)  hidden-to-gates
     U: np.ndarray  # (32, 4)  input-to-gates
     b: np.ndarray  # (32,)
+
+    @classmethod
+    def init(cls, rng: np.random.Generator) -> LstmWeights:
+        bound = 1.0 / np.sqrt(LSTM_UNITS)
+        b = np.zeros(4 * LSTM_UNITS)
+        b[:LSTM_UNITS] = 1.0  # forget-gate bias starts open
+        return cls(W=rng.uniform(-bound, bound, (4 * LSTM_UNITS, LSTM_UNITS)),
+                   U=rng.uniform(-bound, bound, (4 * LSTM_UNITS, LSTM_IN)),
+                   b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +92,12 @@ class EdEncoder:
     bias_h: np.ndarray    # (1,)
     kernel_c: np.ndarray  # (4,)
     bias_c: np.ndarray    # (1,)
+
+    @classmethod
+    def init(cls, rng: np.random.Generator) -> EdEncoder:
+        bound = 1.0 / np.sqrt(ED_KERNEL)
+        return cls(kernel_h=rng.uniform(-bound, bound, ED_KERNEL), bias_h=np.zeros(1),
+                   kernel_c=rng.uniform(-bound, bound, ED_KERNEL), bias_c=np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +163,26 @@ class LruWeights:
 
     LTI = DiagLti(M="U", C="W", b="b", b_o="b_o")
 
+    @classmethod
+    def init(cls, rng: np.random.Generator) -> LruWeights:
+        """Eigenvalue radii uniform in [0.5, 0.99), phases in [0, pi/10)."""
+        r = rng.uniform(0.5, 0.99, SSM_STATE)
+        s_in = 1.0 / np.sqrt(2.0 * SSM_IN)
+        s_out = 1.0 / np.sqrt(2.0 * SSM_STATE)
+        w = cls(
+            nu=np.log(-np.log(r)),
+            theta=rng.uniform(0.0, np.pi / 10.0, SSM_STATE),
+            U_re=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
+            U_im=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
+            b_re=np.zeros(SSM_STATE),
+            b_im=np.zeros(SSM_STATE),
+            W_re=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
+            W_im=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
+            b_o=np.zeros(SSM_IN),
+        )
+        w.validate()
+        return w
+
     def coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal-LTI coefficients (lambda, gamma): the input map is gamma * U."""
         e_nu = np.exp(self.nu)
@@ -186,6 +228,23 @@ class S4dWeights:
     D: np.ndarray             # (6,)
 
     LTI = DiagLti(M="B", C="C", D="D")
+
+    @classmethod
+    def init(cls, rng: np.random.Generator) -> S4dWeights:
+        """Step sizes log-uniform in [1e-3, 1e-1)."""
+        k = np.arange(SSM_STATE, dtype=np.float64)
+        s_in = 1.0 / np.sqrt(2.0 * SSM_IN)
+        s_out = 1.0 / np.sqrt(2.0 * SSM_STATE)
+        return cls(
+            log_neg_a_re=np.full(SSM_STATE, np.log(0.5)),  # A_k = -1/2 + i*pi*k
+            a_im=np.pi * k,
+            log_delta=rng.uniform(np.log(1e-3), np.log(1e-1), SSM_STATE),
+            B_re=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
+            B_im=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
+            C_re=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
+            C_im=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
+            D=np.ones(SSM_IN),
+        )
 
     def a_diag(self) -> np.ndarray:
         return -np.exp(self.log_neg_a_re) + 1j * self.a_im
@@ -257,8 +316,45 @@ class S6Weights:
     b_C: np.ndarray        # (12,)
     D: np.ndarray          # (6,)
 
+    @classmethod
+    def init(cls, rng: np.random.Generator) -> S6Weights:
+        s_in = 1.0 / np.sqrt(SSM_IN)
+        delta0 = 0.01
+        return cls(
+            log_neg_a=np.log(np.tile([1.0, 2.0], SSM_IN)),
+            W_delta=rng.normal(0.0, s_in, SSM_IN),
+            b_delta=np.array([np.log(np.expm1(delta0))]),  # softplus(b) = delta0
+            W_B=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
+            b_B=np.zeros(SSM_STATE),
+            W_C=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
+            b_C=np.zeros(SSM_STATE),
+            D=np.ones(SSM_IN),
+        )
+
     def a_diag(self) -> np.ndarray:
         return -np.exp(self.log_neg_a)
+
+
+# ---------------------------------------------------------------------------
+# Elementwise functions: plain float64 arrays out, or floats for scalar input
+# ---------------------------------------------------------------------------
+
+def sigmoid(x, out=None):
+    """Logistic function, overflow-safe on both tails; written into the
+    float64 array ``out`` when one is given."""
+    x = np.asarray(x, dtype=np.float64)
+    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, from one exp of -|x|
+    e = np.exp(-np.abs(x))
+    q = np.where(x >= 0, 1.0, e)
+    out = np.divide(q, 1.0 + e, q if out is None else out)
+    return out if out.ndim else float(out)
+
+
+def softsign(x):
+    """x / (1 + |x|), a bounded gate in (-1, 1) with 0 meaning bypass."""
+    x = np.asarray(x, dtype=np.float64)
+    out = x / (1.0 + np.abs(x))
+    return out if out.ndim else float(out)
 
 
 def softplus(x):
@@ -266,86 +362,3 @@ def softplus(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Initialization
-# ---------------------------------------------------------------------------
-
-def init_projection(rng: np.random.Generator, units: int, window: int) -> Projection:
-    bound = 1.0 / np.sqrt(window)
-    return Projection(W=rng.uniform(-bound, bound, (units, window)),
-                      b=np.zeros(units))
-
-
-def init_lstm(rng: np.random.Generator) -> LstmWeights:
-    bound = 1.0 / np.sqrt(LSTM_UNITS)
-    b = np.zeros(4 * LSTM_UNITS)
-    b[:LSTM_UNITS] = 1.0  # forget-gate bias starts open
-    return LstmWeights(
-        W=rng.uniform(-bound, bound, (4 * LSTM_UNITS, LSTM_UNITS)),
-        U=rng.uniform(-bound, bound, (4 * LSTM_UNITS, LSTM_IN)),
-        b=b,
-    )
-
-
-def init_ed_encoder(rng: np.random.Generator) -> EdEncoder:
-    bound = 1.0 / np.sqrt(ED_KERNEL)
-    return EdEncoder(
-        kernel_h=rng.uniform(-bound, bound, ED_KERNEL),
-        bias_h=np.zeros(1),
-        kernel_c=rng.uniform(-bound, bound, ED_KERNEL),
-        bias_c=np.zeros(1),
-    )
-
-
-def init_lru(rng: np.random.Generator) -> LruWeights:
-    """Eigenvalue radii uniform in [0.5, 0.99), phases in [0, pi/10)."""
-    r = rng.uniform(0.5, 0.99, SSM_STATE)
-    s_in = 1.0 / np.sqrt(2.0 * SSM_IN)
-    s_out = 1.0 / np.sqrt(2.0 * SSM_STATE)
-    w = LruWeights(
-        nu=np.log(-np.log(r)),
-        theta=rng.uniform(0.0, np.pi / 10.0, SSM_STATE),
-        U_re=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
-        U_im=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
-        b_re=np.zeros(SSM_STATE),
-        b_im=np.zeros(SSM_STATE),
-        W_re=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
-        W_im=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
-        b_o=np.zeros(SSM_IN),
-    )
-    w.validate()
-    return w
-
-
-def init_s4d(rng: np.random.Generator) -> S4dWeights:
-    """Step sizes log-uniform in [1e-3, 1e-1)."""
-    k = np.arange(SSM_STATE, dtype=np.float64)
-    s_in = 1.0 / np.sqrt(2.0 * SSM_IN)
-    s_out = 1.0 / np.sqrt(2.0 * SSM_STATE)
-    return S4dWeights(
-        log_neg_a_re=np.full(SSM_STATE, np.log(0.5)),  # A_k = -1/2 + i*pi*k
-        a_im=np.pi * k,
-        log_delta=rng.uniform(np.log(1e-3), np.log(1e-1), SSM_STATE),
-        B_re=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
-        B_im=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
-        C_re=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
-        C_im=rng.normal(0.0, s_out, (SSM_IN, SSM_STATE)),
-        D=np.ones(SSM_IN),
-    )
-
-
-def init_s6(rng: np.random.Generator) -> S6Weights:
-    s_in = 1.0 / np.sqrt(SSM_IN)
-    delta0 = 0.01
-    return S6Weights(
-        log_neg_a=np.log(np.tile([1.0, 2.0], SSM_IN)),
-        W_delta=rng.normal(0.0, s_in, SSM_IN),
-        b_delta=np.array([np.log(np.expm1(delta0))]),  # softplus(b) = delta0
-        W_B=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
-        b_B=np.zeros(SSM_STATE),
-        W_C=rng.normal(0.0, s_in, (SSM_STATE, SSM_IN)),
-        b_C=np.zeros(SSM_STATE),
-        D=np.ones(SSM_IN),
-    )

@@ -14,6 +14,7 @@ import argparse
 import csv
 import glob as globmod
 import json
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -315,17 +316,31 @@ def cmd_benchmark(args) -> tuple[Path | None, list]:
 # compare
 # ---------------------------------------------------------------------------
 
+def _composition(path, rows) -> int:
+    """The one composition named by the per-recording rows (split
+    ``comp{c}/rec{i}``, as ``eval`` writes them) of an eval CSV."""
+    splits = [r["split"] or "" for r in rows if r["split"] != "mean"]
+    matches = [re.fullmatch(r"comp(\d+)/rec\d+", s) for s in splits]
+    if not splits or not all(matches):
+        raise FormatError(f"{path}: needs per-recording rows with split comp<c>/rec<i>; not an eval CSV?")
+    comps = {int(m[1]) for m in matches}
+    if len(comps) > 1:
+        raise FormatError(f"{path}: rows from compositions {sorted(comps)}; expected one")
+    return comps.pop()
+
+
 def cmd_compare(args) -> tuple[Path, list]:
     paths = sorted(set(p for pat in args.eval_csv for p in globmod.glob(pat)))
     if not paths:
         raise InputError(f"no eval CSVs match {args.eval_csv}")
-    # mean rows per (dataset, model, file) form the blocks
-    scores: dict = {}
+    # each file's mean rows, keyed by its composition: the compositions are the blocks
+    found: dict = {}  # (dataset, model) -> {composition: [(path, metric values)]}
     for path in paths:
         rows = _read_csv(path, csv.DictReader)
         try:
             mean_rows = [(r["dataset"], r["model"], [float(r[m]) for m in metrics.METRICS])
                          for r in rows if r["split"] == "mean"]
+            comp = _composition(path, rows)
         except KeyError as e:
             raise FormatError(f"{path}: missing column {e}; not an eval CSV?") from None
         except (TypeError, ValueError) as e:
@@ -333,8 +348,20 @@ def cmd_compare(args) -> tuple[Path, list]:
         if not mean_rows:
             raise FormatError(f"{path}: no mean row; not an eval CSV?")
         for dataset, model, values in mean_rows:
-            for metric, v in zip(metrics.METRICS, values):
-                scores.setdefault((dataset, metric), {}).setdefault(model, []).append(v)
+            found.setdefault((dataset, model), {}).setdefault(comp, []).append((path, values))
+
+    comps: dict = {}  # dataset -> every composition any model has
+    for (dataset, _), by_comp in found.items():
+        comps.setdefault(dataset, set()).update(by_comp)
+    bad, scores = [], {}
+    for (dataset, model), by_comp in sorted(found.items()):
+        bad += [f"duplicate {model} comp{c} in {dataset} ({', '.join(p for p, _ in by_comp[c])})"
+                for c in sorted(by_comp) if len(by_comp[c]) > 1]
+        bad += [f"missing {model} comp{c} in {dataset}" for c in sorted(comps[dataset] - set(by_comp))]
+        for i, metric in enumerate(metrics.METRICS):
+            scores.setdefault((dataset, metric), {})[model] = [by_comp[c][0][1][i] for c in sorted(by_comp)]
+    if bad:
+        raise InputError("compare needs one mean row per model and composition: " + "; ".join(bad))
 
     # every test runs before either table is opened, so a failed run leaves no partial table
     results = [(key, stats.compare_models(rows_by_model)) for key, rows_by_model in sorted(scores.items())]

@@ -4,8 +4,8 @@
 order; reports, their CSV rows and the CLI's comparison columns follow it.
 
 The two spectral metrics compare target y against prediction y_hat through
-the Hann-windowed magnitude STFTs of ``numerics.stft_mag``, at fixed
-settings: spectral flux at ``SF_WINDOW`` samples with hop ``SF_HOP``, the
+the Hann-windowed magnitude STFTs of ``stft_mag``, at fixed settings:
+spectral flux at ``SF_WINDOW`` samples with hop ``SF_HOP``, the
 multi-resolution distance at each of ``MULTIRES_WINDOWS`` with hop m/4.
 Both normalize by the target, so neither is symmetric in its arguments;
 that is deliberate.  Denominators and log arguments are floored at 1e-7.
@@ -19,9 +19,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InputError, MetricUndefinedError
-from .numerics import MAG_FLOOR, stft_mag
+from .errors import DimensionError, InputError, MetricUndefinedError
 
+# Floor applied wherever a magnitude is divided by or passed to a log.
+MAG_FLOOR = 1e-7
 SF_WINDOW = 2048
 SF_HOP = 512
 MULTIRES_WINDOWS = (256, 512, 1024)
@@ -36,6 +37,25 @@ def _pair(y, y_hat):
     if y.shape != y_hat.shape:
         raise InputError(f"length mismatch: {y.shape[0]} vs {y_hat.shape[0]}")
     return y, y_hat
+
+
+def stft_mag(signal, window_size: int, hop: int) -> np.ndarray:
+    """Hann-windowed magnitude STFT of a 1-d real signal, (frames, window_size // 2 + 1).
+
+    Frames are not centered and the signal is not padded, so every frame
+    holds real samples only: there are floor((len - window_size) / hop) + 1
+    of them, and a signal shorter than one window raises InputError.  The
+    periodic Hann window is 0.5 - 0.5 cos(2 pi n / window_size).
+    """
+    signal = np.asarray(signal, dtype=np.float64)
+    if signal.ndim != 1:
+        raise DimensionError("expected a 1-d signal")
+    n = signal.shape[0]
+    if n < window_size:
+        raise InputError(f"signal of {n} samples is shorter than one {window_size}-sample window")
+    frames = np.lib.stride_tricks.sliding_window_view(signal, window_size)[::hop]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    return np.abs(np.fft.rfft(frames * hann, axis=1))
 
 
 def mse(y, y_hat) -> float:

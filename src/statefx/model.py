@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import io
 import math
-import typing
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -41,7 +40,9 @@ from .cells import (
     SSM_IN,
     SSM_STATE,
     WINDOW_LEN,
+    sigmoid,
     softplus,
+    softsign,
 )
 from .errors import (
     CompatibilityError,
@@ -50,7 +51,6 @@ from .errors import (
     InputError,
     NumericError,
 )
-from .numerics import sigmoid, softsign
 
 POST_UNITS = 4          # every variant reduces to 4 before conditioning
 HIST_LEN = WINDOW_LEN - 1
@@ -213,19 +213,18 @@ class Model:
         p: dict[str, np.ndarray] = {}
 
         def add(prefix, w):
-            p.update(zip(_VIEWS[prefix][1], (getattr(w, f.name) for f in fields(w))))
+            p.update((f"{prefix}.{f.name}", getattr(w, f.name)) for f in fields(w))
 
-        add("proj", cells.init_projection(rng, spec.proj_units, spec.proj_window))
-        for prefix, init in spec.groups:
-            add(prefix, init(rng))
+        add("proj", cells.Projection.init(rng, spec.proj_units, spec.proj_window))
+        for prefix, view in spec.groups:
+            add(prefix, view.init(rng))
 
         dense = [("post", POST_UNITS, spec.readout_units)]
         if config.cond_dim > 0:
             dense.append(("film", 2 * POST_UNITS, config.cond_dim))
         dense += [("glu", 2 * POST_UNITS, POST_UNITS), ("out", 1, POST_UNITS)]
         for prefix, units, width in dense:
-            w = cells.init_projection(rng, units, width)
-            p[f"{prefix}.W"], p[f"{prefix}.b"] = w.W, w.b
+            add(prefix, cells.Projection.init(rng, units, width))
         if config.cond_dim > 0:
             p["film.b"][:POST_UNITS] = 1.0  # FiLM starts as identity scaling
         p["glu.b"][POST_UNITS:] = 1.0  # gate starts half open: softsign(1) = 0.5
@@ -245,10 +244,11 @@ class Model:
         return view(*[p[n] for n in names])
 
     def check_stability(self) -> None:
-        """Verify |multiplier| < 1 for the diagonal-LTI layers (LRU/S4D)."""
-        arch = self.config.architecture
-        if arch in ("lru", "s4d"):
-            self.weights(arch).validate()
+        """Run ``validate`` of every weight group whose class has one
+        (|multiplier| < 1 for the diagonal-LTI layers)."""
+        for prefix, view in ARCH[self.config.architecture].groups:
+            if hasattr(view, "validate"):
+                self.weights(prefix).validate()
 
     # -- state ----------------------------------------------------------------
 
@@ -442,7 +442,7 @@ class Model:
             q = o_hat
         zg = q @ prm["glu.W"].T + prm["glu.b"]
         q1, q2 = zg[..., :POST_UNITS], zg[..., POST_UNITS:]
-        ss = q2 / (1.0 + np.abs(q2))
+        ss = softsign(q2)
         o_c = q1 * ss
         y = o_c @ prm["out.W"] + prm["out.b"][0]
 
@@ -681,7 +681,7 @@ class Model:
 class ArchSpec:
     """How one architecture fills the shared pipeline."""
 
-    groups: tuple[tuple[str, Callable], ...]  # (prefix, cells.init_*) in RNG order after "proj"
+    groups: tuple[tuple[str, type], ...]      # (prefix, cells weight class) in RNG order after "proj"
     proj_units: int                           # projection output width
     proj_window: int                          # newest window samples the projection reads
     readout_units: int                        # recurrent readout width, the post-FC input
@@ -695,29 +695,24 @@ _LSTM_STATE = (("h", LSTM_UNITS, np.float64), ("c", LSTM_UNITS, np.float64))
 # The linear-recurrence variants get a tanh after the post-FC to make up for
 # their activation-free recurrent layers; LSTM and ED stay linear.
 ARCH = {
-    "lstm": ArchSpec((("lstm", cells.init_lstm),), LSTM_IN, WINDOW_LEN, LSTM_UNITS, False,
+    "lstm": ArchSpec((("lstm", cells.LstmWeights),), LSTM_IN, WINDOW_LEN, LSTM_UNITS, False,
                      _LSTM_STATE, Model._scan_lstm_family),
-    "ed": ArchSpec((("enc", cells.init_ed_encoder), ("lstm", cells.init_lstm)), LSTM_IN, ED_SPLIT,
+    "ed": ArchSpec((("enc", cells.EdEncoder), ("lstm", cells.LstmWeights)), LSTM_IN, ED_SPLIT,
                    LSTM_UNITS, False, _LSTM_STATE, Model._scan_lstm_family),
-    "lru": ArchSpec((("lru", cells.init_lru),), SSM_IN, WINDOW_LEN, SSM_IN, True,
+    "lru": ArchSpec((("lru", cells.LruWeights),), SSM_IN, WINDOW_LEN, SSM_IN, True,
                     (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti),
-    "s4d": ArchSpec((("s4d", cells.init_s4d),), SSM_IN, WINDOW_LEN, SSM_IN, True,
+    "s4d": ArchSpec((("s4d", cells.S4dWeights),), SSM_IN, WINDOW_LEN, SSM_IN, True,
                     (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti),
-    "s6": ArchSpec((("s6", cells.init_s6),), SSM_IN, WINDOW_LEN, SSM_IN, True,
+    "s6": ArchSpec((("s6", cells.S6Weights),), SSM_IN, WINDOW_LEN, SSM_IN, True,
                    (("h", SSM_STATE, np.float64),), Model._scan_s6),
 }
 ARCHITECTURES = tuple(ARCH)
 
-
-def _view(prefix: str, init: Callable) -> tuple[type, tuple[str, ...]]:
-    view = typing.get_type_hints(init)["return"]
-    return view, tuple(f"{prefix}.{f.name}" for f in fields(view))
-
-
-# prefix -> (cells weight dataclass, parameter names), built once: Model.weights
+# prefix -> (cells weight class, parameter names), built once: Model.weights
 # runs on every streamed buffer.
-_VIEWS = {"proj": _view("proj", cells.init_projection)}
-_VIEWS.update((prefix, _view(prefix, init)) for spec in ARCH.values() for prefix, init in spec.groups)
+_VIEWS = {prefix: (view, tuple(f"{prefix}.{f.name}" for f in fields(view)))
+          for prefix, view in [("proj", cells.Projection)]
+          + [g for spec in ARCH.values() for g in spec.groups]}
 
 
 # ---------------------------------------------------------------------------

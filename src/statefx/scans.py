@@ -35,8 +35,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .cells import sigmoid
 from .errors import NumericError
-from .numerics import sigmoid
 
 # No compiled backend exists; the benchmark's environment fingerprint reads this.
 HAVE_NUMBA = False

@@ -482,10 +482,12 @@ def test_render_rejects_wrong_rate(tmp_path):
     assert code == cli.EXIT_FORMAT
 
 
-def _fake_eval_csv(path, model, dataset, values):
-    reports = [MetricReport(mse=v, esr=v, nrmse=v, m_sf=v, m_stft=v, model=model,
-                            dataset=dataset, split="mean") for v in [values]]
-    write_report_csv(path, reports)
+def _fake_eval_csv(path, model, dataset, value, comp):
+    """An eval CSV as ``statefx eval`` writes it: one recording of composition
+    ``comp``, then the mean row."""
+    write_report_csv(path, [MetricReport(mse=value, esr=value, nrmse=value, m_sf=value, m_stft=value,
+                                         model=model, dataset=dataset, split=split)
+                            for split in (f"comp{comp}/rec0", "mean")])
 
 
 def test_compare_dominant_model(tmp_path):
@@ -496,7 +498,7 @@ def test_compare_dominant_model(tmp_path):
         for model in ("aaa", "bbb", "ccc", "ddd", "eee"):
             v = 0.01 if model == "aaa" else float(rng.uniform(0.1, 1.0))
             p = tmp_path / f"eval_{model}_c{comp}.csv"
-            _fake_eval_csv(p, model, "synthfx", v)
+            _fake_eval_csv(p, model, "synthfx", v, comp)
             paths.append(str(p))
     out = tmp_path / "cmp"
     assert run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(out)]) == 0
@@ -513,7 +515,7 @@ def test_compare_two_models_skips_friedman(tmp_path):
     for comp in range(5):
         for model in ("aaa", "bbb"):
             _fake_eval_csv(tmp_path / f"eval_{model}_c{comp}.csv", model, "fx",
-                           float(RNG.uniform(0.1, 1.0)))
+                           float(RNG.uniform(0.1, 1.0)), comp)
     out = tmp_path / "cmp2"
     assert run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out / "compare_friedman.csv")))
@@ -525,8 +527,8 @@ def test_compare_nonfinite_metric_input_error(tmp_path, capsys):
     # two models: no Friedman test runs, so the Wilcoxon test meets the NaN
     for comp in range(5):
         _fake_eval_csv(tmp_path / f"eval_aaa_c{comp}.csv", "aaa", "fx",
-                       float("nan") if comp == 2 else float(RNG.uniform(0.1, 1.0)))
-        _fake_eval_csv(tmp_path / f"eval_bbb_c{comp}.csv", "bbb", "fx", float(RNG.uniform(0.1, 1.0)))
+                       float("nan") if comp == 2 else float(RNG.uniform(0.1, 1.0)), comp)
+        _fake_eval_csv(tmp_path / f"eval_bbb_c{comp}.csv", "bbb", "fx", float(RNG.uniform(0.1, 1.0)), comp)
     code = run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(tmp_path / "c")])
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
@@ -542,7 +544,8 @@ def test_compare_failure_leaves_no_partial_table(tmp_path, capsys):
             mse = float("nan") if (comp, model) == (3, "bbb") else v
             write_report_csv(tmp_path / f"eval_{model}_c{comp}.csv",
                              [MetricReport(mse=mse, esr=v, nrmse=v, m_sf=v, m_stft=v, model=model,
-                                           dataset="fx", split="mean")])
+                                           dataset="fx", split=split)
+                              for split in (f"comp{comp}/rec0", "mean")])
     out = tmp_path / "c"
     code = run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(out)])
     assert code == cli.EXIT_INPUT
@@ -551,17 +554,52 @@ def test_compare_failure_leaves_no_partial_table(tmp_path, capsys):
 
 
 def test_compare_ragged_inputs_error(tmp_path):
-    _fake_eval_csv(tmp_path / "eval_a_c0.csv", "a", "fx", 0.5)
-    _fake_eval_csv(tmp_path / "eval_a_c1.csv", "a", "fx", 0.4)
-    _fake_eval_csv(tmp_path / "eval_b_c0.csv", "b", "fx", 0.3)
+    _fake_eval_csv(tmp_path / "eval_a_c0.csv", "a", "fx", 0.5, 0)
+    _fake_eval_csv(tmp_path / "eval_a_c1.csv", "a", "fx", 0.4, 1)
+    _fake_eval_csv(tmp_path / "eval_b_c0.csv", "b", "fx", 0.3, 0)
     code = run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(tmp_path / "c")])
     assert code == cli.EXIT_INPUT
 
 
+def test_compare_pairs_blocks_by_composition(tmp_path, capsys):
+    # lru's comp-1 file also sits in old/ and its comp 5 is missing: paired by
+    # position, its extra comp-1 row would meet the other models' comp 5
+    (tmp_path / "old").mkdir()
+    for k, (model, comps) in enumerate((("lstm", range(1, 6)), ("s4d", range(1, 6)), ("lru", range(1, 5)))):
+        for comp in comps:
+            _fake_eval_csv(tmp_path / f"eval_{model}_comp{comp}.csv", model, "fx", 0.1 * comp + 0.01 * k, comp)
+    _fake_eval_csv(tmp_path / "old" / "eval_lru_comp1.csv", "lru", "fx", 0.9, 1)
+    out = tmp_path / "c"
+    code = run(["compare", str(tmp_path / "eval_*.csv"), str(tmp_path / "old" / "*.csv"), "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "duplicate lru comp1 in fx" in err and "missing lru comp5 in fx" in err
+    assert "lstm" not in err and "s4d" not in err and not out.exists()
+
+
+def test_compare_orders_blocks_by_composition(tmp_path):
+    # bbb's file names sort in the reverse order of its compositions; paired by
+    # composition, bbb is 0.5 above aaa in every block, so every signed rank agrees
+    for comp in range(1, 6):
+        _fake_eval_csv(tmp_path / f"eval_aaa_{comp}.csv", "aaa", "fx", comp, comp)
+        _fake_eval_csv(tmp_path / f"eval_bbb_{6 - comp}.csv", "bbb", "fx", comp + 0.5, comp)
+    out = tmp_path / "c"
+    assert run(["compare", str(tmp_path / "eval_*.csv"), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "compare_wilcoxon.csv")))
+    assert len(rows) == 5 and all(r["w_plus"] in ("0", "15") for r in rows)
+
+
+_EVAL_HEADER = "model,dataset,split,mse,esr,nrmse,m_sf,m_stft\n"
+
+
 @pytest.mark.parametrize("text", ["model,dataset,mse\na,fx,0.5\n",
-                                  "model,dataset,split,mse,esr,nrmse,m_sf,m_stft\n"
-                                  "a,fx,mean,abc,1,1,1,1\n",
-                                  b"model,dataset,split,mse\n\xff\xfe,fx,mean,0.5\n"])
+                                  _EVAL_HEADER + "a,fx,mean,abc,1,1,1,1\n",
+                                  b"model,dataset,split,mse\n\xff\xfe,fx,mean,0.5\n",
+                                  # no per-recording row, two compositions, a split eval never writes
+                                  _EVAL_HEADER + "a,fx,mean,1,1,1,1,1\n",
+                                  _EVAL_HEADER + "a,fx,comp1/rec0,1,1,1,1,1\na,fx,comp2/rec0,1,1,1,1,1\n"
+                                  "a,fx,mean,1,1,1,1,1\n",
+                                  _EVAL_HEADER + "a,fx,train,1,1,1,1,1\na,fx,mean,1,1,1,1,1\n"])
 def test_compare_malformed_eval_csv_format_error(tmp_path, capsys, text):
     path = tmp_path / "eval_a_c0.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -649,7 +687,7 @@ def _manifest_run(command, d, dataset_dir):
     save_wav(d / "in.wav", RNG.uniform(-0.5, 0.5, 1000))
     for comp in range(5):
         for model in ("aaa", "bbb", "ccc"):
-            _fake_eval_csv(d / f"eval_{model}_c{comp}.csv", model, "synthfx", 0.1 * comp + len(model))
+            _fake_eval_csv(d / f"eval_{model}_c{comp}.csv", model, "synthfx", 0.1 * comp + len(model), comp)
     tail, manifest_dir, arguments, seed, artifacts = MANIFEST_RUNS[command]
     fill = {"d": d, "ds": dataset_dir}
     expected = {"command": command, "seed": seed, "artifacts": artifacts,

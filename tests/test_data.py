@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from statefx import stft_mag
 from statefx.data import (
     EFFECTS,
     apply_oracle,
@@ -20,7 +21,6 @@ from statefx.data import (
     save_wav,
 )
 from statefx.errors import FormatError, InputError
-from statefx.numerics import stft_mag
 
 from oracles import compressor_oracle
 

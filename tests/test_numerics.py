@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from statefx import sigmoid, softsign, stft_mag
 from statefx.errors import DimensionError, InputError
-from statefx.numerics import sigmoid, softsign, stft_mag
 
 from oracles import dft_direct, hann, stft_mag_oracle
 
