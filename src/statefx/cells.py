@@ -341,12 +341,17 @@ class S6Weights:
 
 def sigmoid(x, out=None):
     """Logistic function, overflow-safe on both tails; written into the
-    float64 array ``out`` when one is given."""
+    float64 array ``out`` when one is given, which may be ``x`` itself."""
     x = np.asarray(x, dtype=np.float64)
-    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, from one exp of -|x|
-    e = np.exp(-np.abs(x))
-    q = np.where(x >= 0, 1.0, e)
-    out = np.divide(q, 1.0 + e, q if out is None else out)
+    # 1/(1 + e) for x >= 0 and e/(1 + e) below, from one e = exp(-|x|); since
+    # e <= 1 the numerator max(heaviside(x), e) is 1 or e, and NaN for NaN
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, e)
+    np.exp(e, e)
+    out = np.heaviside(x, 1.0, np.empty_like(x) if out is None else out)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    np.divide(out, e, out)
     return out if out.ndim else float(out)
 
 

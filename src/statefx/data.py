@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_int
 from .scans import linear_filter
 
 DEFAULT_RATE = 48000
@@ -80,6 +80,7 @@ def generate_input_signal(duration: float = DEFAULT_DURATION, sample_rate: int =
     Peak amplitude stays <= 1.
     """
     fs = sample_rate
+    check_int(seed, "seed")
     if not np.isfinite(duration) or duration > MAX_DURATION:
         raise InputError(f"duration must be finite and at most {MAX_DURATION:g} s, got {duration}")
     n_total = int(round(duration * fs))

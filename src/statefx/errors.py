@@ -5,6 +5,8 @@ callers can catch the whole family.  Most types double as ValueError so
 generic numpy-style call sites keep working.
 """
 
+from numbers import Integral
+
 
 class StatefxError(Exception):
     """Base class for all statefx errors."""
@@ -36,3 +38,10 @@ class MetricUndefinedError(StatefxError, ZeroDivisionError):
 
 class CompatibilityError(StatefxError, ValueError):
     """Checkpoint and dataset disagree (conditioning size, sample rate...)."""
+
+
+def check_int(value, name: str, low: int = 0, high: float = float("inf")) -> None:
+    """InputError unless ``value`` is an integer, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+        span = f">= {low}" if high == float("inf") else f"in [{low}, {high}]"
+        raise InputError(f"{name} must be an integer {span}, got {value!r}")

@@ -50,6 +50,7 @@ from .errors import (
     FormatError,
     InputError,
     NumericError,
+    check_int,
 )
 
 POST_UNITS = 4          # every variant reduces to 4 before conditioning
@@ -85,8 +86,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise InputError(f"unknown architecture {self.architecture!r}; expected one of {ARCHITECTURES}")
-        if not 0 <= self.cond_dim <= MAX_COND_DIM:
-            raise InputError(f"cond_dim must lie in [0, {MAX_COND_DIM}], got {self.cond_dim}")
+        check_int(self.cond_dim, "cond_dim", 0, MAX_COND_DIM)
+        check_int(self.sample_rate, "sample_rate", 1)
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,6 +209,7 @@ class Model:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "Model":
+        check_int(seed, "seed")
         rng = np.random.default_rng(seed)
         spec = ARCH[config.architecture]
         p: dict[str, np.ndarray] = {}
@@ -446,8 +448,9 @@ class Model:
         o_c = q1 * ss
         y = o_c @ prm["out.W"] + prm["out.b"][0]
 
-        def pullback(d_y):
-            g = {}
+        def tail_pullback(d_y, g):
+            """Gradients of the dense tail into g; returns the post-FC
+            pre-activation gradient, and every other temporary dies here."""
             # output layer: y = o_c @ W_out + b_out
             g["out.W"] = _gram(d_y[..., None], o_c)[0]
             g["out.b"] = np.array([d_y.sum()])
@@ -476,9 +479,12 @@ class Model:
             d_post = d_ohat * (1.0 - o_hat ** 2) if spec.post_tanh else d_ohat
             g["post.W"] = _gram(d_post, o_rec)
             g["post.b"] = d_post.sum(axis=(0, 1))
-            # in o_rec's memory layout, so the LSTM family's adjoint reads it feature-major
-            d_useq = scan_pullback(_matmul_steps(d_post, prm["post.W"], np.empty_like(o_rec)), g)
+            return d_post
 
+        def pullback(d_y):
+            g = {}
+            # o_rec's gradient in o_rec's memory layout, so the LSTM family's adjoint reads it feature-major
+            d_useq = scan_pullback(_matmul_steps(tail_pullback(d_y, g), prm["post.W"], np.empty_like(o_rec)), g)
             g["proj.W"] = _gram(d_useq, win[:, :, :spec.proj_window])
             g["proj.b"] = d_useq.sum(axis=(0, 1))
             return {k: g[k] for k in prm}
@@ -496,37 +502,37 @@ class Model:
     # (·, B) blocks; o_rec is a (B, L, n) view of S.  The weight-gradient
     # products read time-major copies instead, one BLAS call per lane.
 
-    def _lstm_inputs(self, u_seq, win):
-        """Gate inputs zin (L, B, 4n) and, for ED, the encoder candidates
-        k = [ch | cc] (L, B, 2n), written straight into feature-major memory."""
-        prm = self.params
+    def _gate_inputs(self, u_seq):
+        """Gate inputs zin (L, B, 4n), written straight into feature-major memory."""
         B, L, _ = u_seq.shape
         zin = np.empty((L, 4 * LSTM_UNITS, B))
-        _matmul_steps(u_seq, prm["lstm.U"].T, zin.transpose(2, 0, 1))
-        zin += prm["lstm.b"][:, None]
+        _matmul_steps(u_seq, self.params["lstm.U"].T, zin.transpose(2, 0, 1))
+        zin += self.params["lstm.b"][:, None]
+        return zin.transpose(0, 2, 1)
+
+    def _candidates(self, win):
+        """ED's encoder candidates k = [ch | cc] (L, B, 2n) in feature-major
+        memory; None for the plain LSTM."""
         if self.config.architecture != "ed":
-            return zin.transpose(0, 2, 1), None
+            return None
+        prm = self.params
+        B, L, _ = win.shape
         blocks = win[:, :, ED_SPLIT:].reshape(B, L, LSTM_UNITS, cells.ED_KERNEL)
         k = np.empty((L, 2, LSTM_UNITS, B))
         for j, x in enumerate("hc"):
             np.add(blocks @ prm[f"enc.kernel_{x}"], prm[f"enc.bias_{x}"][0], out=k[:, j].transpose(2, 0, 1))
-        return zin.transpose(0, 2, 1), k.reshape(L, 2 * LSTM_UNITS, B).transpose(0, 2, 1)
+        return k.reshape(L, 2 * LSTM_UNITS, B).transpose(0, 2, 1)
 
     def _scan_lstm_family(self, state, u_seq, win):
-        prm = self.params
-        zin, k = self._lstm_inputs(u_seq, win)
-        S = scans.lstm_forward(prm["lstm.W"], zin, state["h"], state["c"], k)
+        W = self.params["lstm.W"]
+        # zin and k are rebuilt rather than held, and passed as temporaries so
+        # that each scan holds their only reference and frees them when it can
+        S = scans.lstm_forward(W, self._gate_inputs(u_seq), state["h"], state["c"], self._candidates(win))
         H = S[1:, :, :LSTM_UNITS].swapaxes(0, 1)
 
         def pullback(d_orec, g):
-            # rebuilt rather than held, so a forward-only call frees them when the scan returns
-            zin, k = self._lstm_inputs(u_seq, win)
-            d_z, d_ch, d_cc, h_in = scans.lstm_backward(prm["lstm.W"], d_orec.swapaxes(0, 1), zin, S, k)
-            del zin, k                                  # freed before the time-major copies
-            d_z = np.ascontiguousarray(d_z).swapaxes(0, 1)
-            g["lstm.W"] = _gram(d_z, np.ascontiguousarray(h_in).swapaxes(0, 1))
-            g["lstm.U"] = _gram(d_z, u_seq)
-            g["lstm.b"] = d_z.sum(axis=(0, 1))
+            d_z, d_ch, d_cc, h_in = scans.lstm_backward(W, d_orec.swapaxes(0, 1), self._gate_inputs(u_seq),
+                                                        S, self._candidates(win))
             if d_ch is not None:
                 # ED: unit o's candidate reads block o of the oldest half of each
                 # window, so the kernel gradient sums the diagonal blocks of the product
@@ -534,7 +540,12 @@ class Model:
                     G = _gram(d.swapaxes(0, 1), win[:, :, ED_SPLIT:])
                     g[f"enc.kernel_{x}"] = np.trace(G.reshape(LSTM_UNITS, LSTM_UNITS, cells.ED_KERNEL))
                     g[f"enc.bias_{x}"] = np.array([d.sum()])
-            return d_z @ prm["lstm.U"]
+                del d_ch, d_cc, d                       # freed before the time-major copies
+            d_z = np.ascontiguousarray(d_z).swapaxes(0, 1)
+            g["lstm.W"] = _gram(d_z, np.ascontiguousarray(h_in).swapaxes(0, 1))
+            g["lstm.U"] = _gram(d_z, u_seq)
+            g["lstm.b"] = d_z.sum(axis=(0, 1))
+            return d_z @ self.params["lstm.U"]
 
         return H, {"h": H[:, -1].copy(), "c": S[-1, :, LSTM_UNITS:].copy()}, pullback
 
@@ -596,49 +607,83 @@ class Model:
         B, L, _ = u_seq.shape
         a = w.a_diag()
         ut = u_seq.transpose(0, 2, 1)
+
+        # Every (B, L, 12) array is lane-major like H, so the scans run in place.
+        # The pullback's products with a per-channel (B, L, 6) array broadcast
+        # it over the substates of a (B, L, 6, 2) view instead of repeating it.
+        def per_step(W, b):
+            """W @ u_n + b for every step."""
+            return (W @ ut + b[:, None]).transpose(0, 2, 1)
+
+        def substates(x):
+            return x.reshape(B, L, SSM_IN, 2)
+
         zd = u_seq @ w.W_delta + w.b_delta[0]
         delta = softplus(zd)
         abar = np.exp(a[:, None] * delta[:, None, :]).transpose(0, 2, 1)
-        Bv = (w.W_B @ ut + w.b_B[:, None]).transpose(0, 2, 1)
-        Cv = (w.W_C @ ut + w.b_C[:, None]).transpose(0, 2, 1)
-        # pre = bbar * u; the pullback rebuilds both factors instead of holding them
-        pre = (abar - 1.0) / a * Bv * _per_substate(u_seq)
+        # pre = bbar * u; the pullback rebuilds B_n, C_n and bbar instead of holding them
+        pre = (abar - 1.0) / a * per_step(w.W_B, w.b_B) * _per_substate(u_seq)
         H = scans.diag_scan(state["h"], abar, pre)
-        o_rec = (Cv * H).reshape(B, L, SSM_IN, 2).sum(axis=3) + w.D * u_seq
+        o_rec = substates(per_step(w.W_C, w.b_C) * H).sum(axis=3) + w.D * u_seq
 
         def pullback(d_orec, g):
-            # lane-major like H, so the adjoint solve runs in place
-            d_orep = _per_substate(d_orec)
-            gCv = d_orep * H
-            gh_read = d_orep * Cv
+            # Each (B, L, 12) product is written over a factor whose last reader
+            # has run, in the operand order of the plain expression, and the
+            # d_useq terms add up in one fixed order: the bits do not depend on
+            # which buffer holds what.
+            # o = sum over the substates of C_n * h, + D * u
             g["s6.D"] = (d_orec * u_seq).sum(axis=(0, 1))
             d_useq = d_orec * w.D
+            gh_read = per_step(w.W_C, w.b_C)                # then d_o * C_n
+            np.multiply(substates(gh_read), d_orec[..., None], out=substates(gh_read))
 
-            g_pre, g_abar_t = scans.diag_scan_backward(gh_read, H, state["h"], abar)
+            g_pre, g_abar = scans.diag_scan_backward(gh_read, H, state["h"], abar)
 
-            s = (abar - 1.0) / a
-            g_bbar = g_pre * _per_substate(u_seq)
-            d_useq = d_useq + (g_pre * (s * Bv)).reshape(B, L, SSM_IN, 2).sum(axis=3)
-            gBv = g_bbar * s
-            gs = g_bbar * Bv
-            g_abar_t = g_abar_t + gs / a
-            gA = (gs * (-(abar - 1.0) / a ** 2)).sum(axis=(0, 1))
+            # pre = s * B_n * u with s = (abar - 1) / a
+            t = per_step(w.W_B, w.b_B)
+            s = abar - 1.0
+            s /= a
+            t *= s
+            t *= g_pre
+            d_useq = d_useq + substates(t).sum(axis=3)
+            g_bbar = t                                      # g_pre * u, over g_pre * s * B_n
+            np.multiply(substates(g_pre), u_seq[..., None], out=substates(g_bbar))
+            del g_pre, gh_read
+            gBv = np.multiply(g_bbar, s, out=s)
+            g["s6.W_B"] = _gram(gBv, u_seq)
+            g["s6.b_B"] = gBv.sum(axis=(0, 1))
+            d_useq_B = gBv @ w.W_B
+            del gBv, s
+            gs = per_step(w.W_B, w.b_B)
+            gs *= g_bbar
+            del g_bbar, t
+            # ds/da = -(abar - 1) / a^2, and ds/dabar = 1 / a
+            x = abar - 1.0
+            np.negative(x, x)
+            x /= a ** 2
+            x *= gs
+            gA = x.sum(axis=(0, 1))
+            del x
+            gs /= a
+            g_abar += gs
+            del gs
 
-            gz = g_abar_t * abar
+            # abar = exp(a * delta), delta = softplus(zd)
+            gz = np.multiply(g_abar, abar, out=g_abar)
             gA = gA + (gz * delta[..., None]).sum(axis=(0, 1))
             g_delta = gz @ a
+            del gz, g_abar
             g_zd = g_delta * sigmoid(zd)
             g["s6.W_delta"] = _gram(g_zd[..., None], u_seq)[0]
             g["s6.b_delta"] = np.array([g_zd.sum()])
             d_useq = d_useq + g_zd[..., None] * w.W_delta
+            d_useq = d_useq + d_useq_B
 
-            g["s6.W_B"] = _gram(gBv, u_seq)
-            g["s6.b_B"] = gBv.sum(axis=(0, 1))
-            d_useq = d_useq + gBv @ w.W_B
+            gCv = np.empty_like(H)
+            np.multiply(substates(H), d_orec[..., None], out=substates(gCv))
             g["s6.W_C"] = _gram(gCv, u_seq)
             g["s6.b_C"] = gCv.sum(axis=(0, 1))
             d_useq = d_useq + gCv @ w.W_C
-
             g["s6.log_neg_a"] = gA * a  # dA/d(log_neg_a) = -exp(.) = a
             return d_useq
 

@@ -28,6 +28,7 @@ the import of ``scipy.linalg.lapack`` is the fallback.
 
 from __future__ import annotations
 
+import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -40,6 +41,10 @@ from .errors import NumericError
 
 # No compiled backend exists; the benchmark's environment fingerprint reads this.
 HAVE_NUMBA = False
+
+# Band bytes per LAPACK call of the banded solve: a block of lanes whose band
+# stays in cache between being written and being read.
+BAND_BYTES = 1 << 18
 
 
 def _banded_solvers(scipy_dirs):
@@ -103,44 +108,80 @@ def lstm_backward(W, d_orec, zin, S, k=None):
 
     ``d_orec`` (L, B, n) is the gradient reaching the hidden states
     S[1:, :, :n].  The gates and the adjoint's per-step coefficients are
-    rebuilt in batch into feature-major (L, ·, B) buffers, and the reverse
-    loop writes only into buffers made before it.  Returns (d_z, d_ch, d_cc,
-    h_in) as (L, B, ·) views of feature-major memory: the gate
-    pre-activation gradient (L, B, 4n), the encoder candidate gradients (ED
-    only, else None) and the (merged) hidden states entering each step.
+    rebuilt in batch into feature-major (L, ·, B) buffers, mostly in place,
+    and the reverse loop writes only into buffers made before it; ``zin``
+    and ``k`` are dropped once folded in, so a caller that passes them as
+    temporaries frees them early.  Returns (d_z, d_ch, d_cc, h_in) as
+    (L, B, ·) views of feature-major memory: the gate pre-activation
+    gradient (L, B, 4n), the encoder candidate gradients (ED only, else
+    None) and the (merged) hidden states entering each step.
     """
     L, B, n = d_orec.shape
     F = S.transpose(0, 2, 1)                            # (L + 1, 2n, B)
-    sg = sigmoid(F[:-1]) if k is not None else None     # [sh | sc]
-    m = sg * k.transpose(0, 2, 1) if k is not None else F[:-1]   # the states entering each step
+    merge = k is not None
+    if merge:                                           # sigmoid(F[t]) * k[t]
+        m = sigmoid(F[:-1], np.empty((L, 2 * n, B)))
+        m *= k.transpose(0, 2, 1)
+        del k
+    else:
+        m = F[:-1]                                      # the states entering each step
     h_in, c_in = m[:, :n], m[:, n:]
     z = np.empty((L, 4, n, B))
     np.matmul(W, h_in, out=z.reshape(L, 4 * n, B))
     z += zin.transpose(0, 2, 1).reshape(L, 4, n, B)
-    f, i, o = sigmoid(z[:, :3]).transpose(1, 0, 2, 3)
-    g = np.tanh(z[:, 3], out=z[:, 3])
+    del zin
+    sigmoid(z[:, :3], z[:, :3])
+    f, i, o, g = z.transpose(1, 0, 2, 3)                # (L, n, B) views
+    np.tanh(g, g)
+    if merge:                                           # [sh | sc], rebuilt now that zin is gone
+        sg = sigmoid(F[:-1])
     # d_z_t = [d_c_t * kf, d_c_t * ki, d_h_t * ko, d_c_t * kg] with
-    # d_c_t = d_c + d_h_t * oc_t; kf, ki and kg take z's place, d_z takes theirs
-    np.multiply(c_in, f * (1.0 - f), out=z[:, 0])
-    np.multiply(g, i * (1.0 - i), out=z[:, 1])
-    np.multiply(i, 1.0 - g * g, out=z[:, 3])           # over g, after its last reader
-    tc = np.tanh(F[1:, n:])
+    # d_c_t = d_c + d_h_t * oc_t.  kf, ki and kg take f, i and g's rows;
+    # o's row is scratch once oc and ko are built, and d_z takes z's place.
+    # Each product keeps the operand order of the plain expression, so the
+    # coefficients are the same bits.
     flat = (L, n * B)                                   # each step's (n, B) block as one row
-    ko = (tc * o * (1.0 - o)).reshape(flat)
-    oc = o * (1.0 - tc * tc)
+    oc, ko, kc = (np.empty((L, n, B)) for _ in range(3))
+    np.tanh(F[1:, n:], ko)                              # tanh(c_t)
+    np.multiply(ko, ko, oc)
+    np.subtract(1.0, oc, oc)
+    oc *= o                                             # o * (1 - tanh(c)^2)
+    ko *= o
+    np.subtract(1.0, o, o)
+    ko *= o                                             # tanh(c) * o * (1 - o)
+    np.subtract(1.0, i, kc)
+    kc *= i
+    kc *= g                                             # ki = g * (i * (1 - i)), parked in kc
+    g *= g
+    np.subtract(1.0, g, g)
+    g *= i                                              # kg = i * (1 - g^2)
+    np.copyto(i, kc)
     # carried into the step before: d_h = (W.T @ d_z_t) * kh_t, d_c = d_c_t * kc_t
-    kc, kh = f.reshape(flat), [None] * L                # f[t] is one contiguous block: a view
-    if k is not None:
-        kh = (h_in * (1.0 - sg[:, :n])).reshape(flat)
-        kc = (c_in * (1.0 - sg[:, n:]) * f).reshape(flat)
-        np.multiply(f, sg[:, n:], out=sg[:, n:])       # f * sc, the cell's share in d_cc
+    if not merge:
+        np.copyto(kc, f)
+        kh = [None] * L
+    else:
+        sh, sc = sg[:, :n], sg[:, n:]
+        np.subtract(1.0, sc, kc)
+        kc *= c_in
+        kc *= f                                         # c_in * (1 - sc) * f
+        sc *= f                                         # f * sc, the cell's share in d_cc
+    np.subtract(1.0, f, o)
+    o *= f
+    np.multiply(c_in, o, f)                             # kf = c_in * (f * (1 - f))
+    if merge:
+        kh = c_in                                       # c_in's last reader was kf
+        np.subtract(1.0, sh, kh)
+        kh *= h_in                                      # h_in * (1 - sh)
+        kh = kh.reshape(flat)
     # the carried adjoints as rows; only the d_o add and the product see d_h, d_ht as (n, B)
     d_h, d_ht = np.zeros((2, n, B))
     d_h_row, d_ht_row, d_c = d_h.reshape(-1), d_ht.reshape(-1), np.zeros(n * B)
     Wt = W.T
     # each d_c_t is written over oc_t, its last reader, so oc ends up holding them all
     for d_o, oc_t, ko_t, kc_t, kh_t, z_t in zip(d_orec[::-1].transpose(0, 2, 1), oc.reshape(flat)[::-1],
-                                                ko[::-1], kc[::-1], kh[::-1], z.reshape(L, 4, n * B)[::-1]):
+                                                ko.reshape(flat)[::-1], kc.reshape(flat)[::-1], kh[::-1],
+                                                z.reshape(L, 4, n * B)[::-1]):
         np.add(d_o, d_h, d_ht)
         d_ct = np.multiply(d_ht_row, oc_t, oc_t)
         d_ct += d_c
@@ -150,11 +191,14 @@ def lstm_backward(W, d_orec, zin, S, k=None):
         if kh_t is not None:
             d_h_row *= kh_t
         np.multiply(d_ct, kc_t, d_c)
+    ko = kc = kh = ko_t = kc_t = kh_t = None           # freed before ED's d_ch product
     d_z = z.reshape(L, 4 * n, B)
     d_ch = d_cc = None
-    if k is not None:
-        d_ch = (np.matmul(Wt, d_z) * sg[:, :n]).transpose(0, 2, 1)
-        d_cc = np.multiply(oc, sg[:, n:], out=oc).transpose(0, 2, 1)
+    if merge:
+        d_ch = np.matmul(Wt, d_z)
+        d_ch *= sh
+        d_ch = d_ch.transpose(0, 2, 1)
+        d_cc = np.multiply(oc, sc, out=oc).transpose(0, 2, 1)
     return d_z.transpose(0, 2, 1), d_ch, d_cc, h_in.transpose(0, 2, 1)
 
 
@@ -177,28 +221,43 @@ def _lane_major(x, *others):
 
 
 def _solve(mults, rhs, trans):
-    """Solve (I - S) x = rhs in place over all lanes of a (..., L) array.
+    """Solve (I - S) x = rhs in place over all lanes of a C-contiguous (..., L) array.
 
     S is strictly lower banded within each lane: ``mults[k - 1]``, broadcastable to
     (..., L - k), holds its k-th subdiagonal, the multipliers of x_{t-k} in x_t.
-    The band is built in LAPACK's Fortran layout, so no copy is made on the way in.
+    The lanes go to LAPACK in blocks whose band fits in BAND_BYTES, through one
+    band buffer in LAPACK's Fortran layout, so no copy is made on the way in;
+    when every lane fits, that is one call.
     """
-    kd = len(mults)
-    band = np.empty(rhs.shape + (kd + 1,), rhs.dtype)   # row 0 (unit diagonal) is never read
-    for k, m in enumerate(mults, 1):
-        cut = max(rhs.shape[-1] - k, 0)
-        np.negative(m, out=band[..., :cut, k])
-        band[..., cut:, k] = 0.0                       # lanes do not couple
+    kd, L = len(mults), rhs.shape[-1]
+    blocks, lanes = [()], rhs.shape[:-1]
+    if rhs.ndim > 1 and rhs.nbytes * (kd + 1) > BAND_BYTES:
+        lead, lane = lanes, L * (kd + 1) * rhs.itemsize  # band bytes per lane
+        # the first lead axis a whose trailing lanes fit; blocks run along axis a - 1
+        a = next((a for a in range(1, len(lead)) if math.prod(lead[a:]) * lane <= BAND_BYTES), len(lead))
+        step = max(1, BAND_BYTES // (math.prod(lead[a:]) * lane))
+        blocks = [head + (slice(s, s + step),) for head in np.ndindex(*lead[:a - 1])
+                  for s in range(0, lead[a - 1], step)]
+        lanes = (min(step, lead[a - 1]),) + lead[a:]
+        mults = [np.broadcast_to(m, lead + (max(L - k, 0),)) for k, m in enumerate(mults, 1)]
+    band = np.empty(lanes + (L, kd + 1), rhs.dtype)
     tbtrs = ztbtrs if rhs.dtype.kind == "c" else dtbtrs
     # A complex matmul (OpenBLAS zgemm) can leave the upper AVX register
     # state dirty; the SSE-compiled solve then ran ~18x slower on an AVX-512
     # Xeon (22 ms against 1.2 ms at B=3, L=2400).  A vectorized numpy loop
     # ends with vzeroupper, which clears that state.
     np.add(np.zeros(64), 0.0)
-    # positional (uplo, trans, diag, overwrite_b): f2py parses keywords slower
-    _, info = tbtrs(band.reshape(-1, kd + 1).T, rhs.reshape(-1, 1), "L", trans, "U", 1)
-    if info != 0:
-        raise NumericError(f"banded triangular solve failed (info={info})")
+    for blk in blocks:
+        x = rhs[blk] if blk else rhs
+        bb = band[:len(x)] if blk else band            # row 0 (unit diagonal) is never read
+        for k, m in enumerate(mults, 1):
+            cut = max(L - k, 0)
+            np.negative(m[blk] if blk else m, out=bb[..., :cut, k])
+            bb[..., cut:, k] = 0.0                     # lanes do not couple
+        # positional (uplo, trans, diag, overwrite_b): f2py parses keywords slower
+        _, info = tbtrs(bb.reshape(-1, kd + 1).T, x.reshape(-1, 1), "L", trans, "U", 1)
+        if info != 0:
+            raise NumericError(f"banded triangular solve failed (info={info})")
 
 
 def _lanes(a):
@@ -244,7 +303,8 @@ def diag_scan_backward(gh_read, H, h0, a):
                + np.einsum("bk,bk->k", G[..., 0], np.conj(h0)))
         return G.transpose(0, 2, 1), g_a
     g_a = np.empty_like(G)
-    np.multiply(G[..., 1:], np.conj(Hl[..., :-1]), out=g_a[..., 1:])
+    h_prev = Hl[..., :-1]                               # conj would copy a real array
+    np.multiply(G[..., 1:], np.conj(h_prev) if h_prev.dtype.kind == "c" else h_prev, out=g_a[..., 1:])
     g_a[..., 0] = G[..., 0] * np.conj(h0)
     return G.transpose(0, 2, 1), g_a.transpose(0, 2, 1)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericError, StabilityError
+from .errors import InputError, NumericError, StabilityError, check_int
 from .model import Checkpoint, Model
 
 GradientSet = dict  # name -> array matching the weight's shape
@@ -70,11 +70,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.decay_mode not in DECAY_MODES:
             raise InputError(f"decay_mode must be one of {DECAY_MODES}, got {self.decay_mode!r}")
-        for name in ("initial_lr", "max_epochs", "segment_len", "batch_size"):
-            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
-                raise InputError(f"TrainConfig.{name} must be positive and finite")
-        if self.patience < 0:
-            raise InputError("TrainConfig.patience must be >= 0")
+        if not 0 < self.initial_lr < np.inf:  # NaN fails too
+            raise InputError("TrainConfig.initial_lr must be positive and finite")
+        for name in ("max_epochs", "segment_len", "batch_size"):
+            check_int(getattr(self, name), f"TrainConfig.{name}", 1)
+        for name in ("patience", "seed"):
+            check_int(getattr(self, name), f"TrainConfig.{name}")
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:

@@ -108,6 +108,19 @@ def test_train_eval_render_benchmark_cycle(dataset_dir, tmp_path):
     assert report["flops_per_sample"] <= 1500
 
 
+@pytest.mark.parametrize("command", ["dataset", "train"])
+def test_negative_seed_input_error(dataset_dir, tmp_path, capsys, command):
+    # numpy's generators reject negative seeds with a raw ValueError
+    out = tmp_path / "out"
+    argv = {"dataset": ["dataset", "--effect", "identity", "--duration", "0.5", "--seed", "-1"],
+            "train": ["train", "--arch", "lru", "--dataset", str(dataset_dir), "--composition", "1",
+                      "--seed", "-3"]}[command]
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_bad_composition_usage_error(dataset_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["train", "--arch", "lstm", "--dataset", str(dataset_dir),
@@ -157,6 +170,7 @@ def _edit_header(path, edit):
     lambda ls: [line for line in ls if not line.startswith("architecture=")],
     lambda ls: [line for line in ls if not line.startswith("cond_dim=")],
     lambda ls: [("cond_dim=1.5" if line.startswith("cond_dim=") else line) for line in ls],
+    lambda ls: [("sample_rate=0" if line.startswith("sample_rate=") else line) for line in ls],
     lambda ls: [("architecture=gru" if line.startswith("architecture=") else line) for line in ls],
     lambda ls: ls + ["array="],
     lambda ls: [(line + " x" if line.startswith("array=proj.W") else line) for line in ls],
@@ -166,7 +180,7 @@ def _edit_header(path, edit):
                 for line in ls],
     # holds no bytes, but numpy cannot index a 2^70 dimension
     lambda ls: ls + ["array=history.extra 0 1180591620717411303424"],
-], ids=["version", "no-arch", "no-config-key", "bad-int", "unknown-arch", "empty-array",
+], ids=["version", "no-arch", "no-config-key", "bad-int", "zero-rate", "unknown-arch", "empty-array",
         "bad-dim", "negative-dim", "wrapping-size", "huge-dim"])
 def test_eval_malformed_checkpoint_format_error(dataset_dir, tmp_path, capsys, edit):
     ckpt = tmp_path / "m.sfx"

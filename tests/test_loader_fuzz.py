@@ -3,10 +3,12 @@
 Each example applies a few byte flips, inserts, deletes or a truncation to
 a valid file and loads the result: a loader may succeed or raise a
 StatefxError (or OSError), never anything else.  Through the CLI, the eval
-CSVs of ``compare`` and the schedule CSV of ``render --params-csv`` may
-only give exit code 0, 3, 4 or 5.
+CSVs of ``compare``, the schedule CSV of ``render --params-csv`` and the
+JSON sidecars of a dataset read by ``eval`` may only give exit code 0, 3, 4
+or 5.
 """
 
+import shutil
 import struct
 
 import numpy as np
@@ -109,3 +111,27 @@ def test_mutated_schedule_renders_or_exits_typed(files, edits):
     sched.write_bytes(mutate((files / "schedule.csv").read_bytes(), edits))
     assert cli.main(["render", "--checkpoint", str(files / "ck.sfx"), "--input", str(files / "render_in.wav"),
                      "--params-csv", str(sched), "--out", str(files / "render_out.wav")]) in CLI_EXITS
+
+
+SIDECARS = ["dataset.json", "params_000.json", "params_001.json"]
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz_dataset")
+    assert cli.main(["dataset", "--effect", "waveshaper_overdrive", "--vary", "drive=2",
+                     "--fix", "tone=20000", "--duration", "1.0", "--seed", "5",
+                     "--out", str(d / "valid")]) == cli.EXIT_OK
+    shutil.copytree(d / "valid", d / "mutant")
+    Checkpoint.from_model(Model.init(ModelConfig("lru", cond_dim=1), seed=0)).save(d / "ck.sfx")
+    return d
+
+
+@FUZZ
+@given(name=st.sampled_from(SIDECARS), edits=st.lists(_EDIT, min_size=1, max_size=4))
+def test_mutated_dataset_sidecar_evaluates_or_exits_typed(dataset, name, edits):
+    for n in SIDECARS:
+        blob = (dataset / "valid" / n).read_bytes()
+        (dataset / "mutant" / n).write_bytes(mutate(blob, edits) if n == name else blob)
+    assert cli.main(["eval", "--checkpoint", str(dataset / "ck.sfx"), "--dataset", str(dataset / "mutant"),
+                     "--composition", "1", "--out", str(dataset / "eval_out")]) in CLI_EXITS

@@ -344,8 +344,8 @@ def test_forward_sample_independent_of_batched_route():
             used.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)  # getattr(self, "...")
-    batched = {"_batch_inputs", "_forward_full", "forward_segment", "_lstm_inputs", "_gram",
-               "_per_substate", "scan", "scans"}
+    batched = {"_batch_inputs", "_forward_full", "forward_segment", "_gate_inputs", "_candidates",
+               "_gram", "_per_substate", "scan", "scans"}
     batched |= {n for n, v in vars(scans).items()
                 if inspect.isfunction(v) and v.__module__ == scans.__name__}
     assert sorted(n for n in used if n in batched or n.startswith("_scan_")) == []

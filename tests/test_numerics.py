@@ -36,6 +36,28 @@ def test_sigmoid_bits_match_masked_form():
     assert np.isnan(sigmoid(np.nan))
 
 
+def test_sigmoid_in_place_bits_match_out_of_place():
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, np.inf, np.nan, 5e-324, tiny / 3, tiny, 1e-300, 0.5, 36.0, 37.0,
+                        709.0, 710.0, 711.0, 745.0, 746.0, 1e300])
+    rng = np.random.default_rng(4)
+    x = np.concatenate([special, -special, rng.normal(scale=30.0, size=4096)])
+    ref = sigmoid(x)
+    for view in (slice(None), slice(None, None, 3)):
+        y = x.copy()[view]
+        assert sigmoid(y, y) is y
+        assert np.array_equal(y, ref[view], equal_nan=True)
+        assert np.array_equal(np.signbit(y), np.signbit(ref[view]))
+    # the forward loop's (3n, B) gate rows and a strided block of them
+    rows = x[:72].reshape(24, 3)
+    out = np.empty_like(rows)
+    assert np.array_equal(sigmoid(rows, out), ref[:72].reshape(24, 3), equal_nan=True)
+    block = np.repeat(rows[None], 4, axis=0)
+    sigmoid(block[:, :16], block[:, :16])
+    assert np.array_equal(block[:, :16], np.broadcast_to(ref[:48].reshape(16, 3), (4, 16, 3)), equal_nan=True)
+    assert np.array_equal(block[:, 16:], np.broadcast_to(rows[16:], (4, 8, 3)), equal_nan=True)
+
+
 def test_activation_softsign_values():
     assert softsign(1.0) == pytest.approx(0.5)
     assert softsign(-3.0) == pytest.approx(-0.75)

@@ -146,6 +146,73 @@ def test_banded_solve_bit_identical_to_scipy_linalg_lapack(cplx, trans):
     assert not np.array_equal(x, rhs)
 
 
+def _count_solver_calls(monkeypatch):
+    """Wrap scans' LAPACK solvers; returns the list of (band bytes, rows) per call."""
+    calls = []
+    for name in ("dtbtrs", "ztbtrs"):
+        solver = getattr(scans, name)
+        monkeypatch.setattr(scans, name, lambda ab, b, *args, solver=solver:
+                            calls.append((ab.nbytes, b.size)) or solver(ab, b, *args))
+    return calls
+
+
+def _one_band_solve(mults, rhs, trans):
+    """(I - S) x = rhs over every lane at once: one band the size of all lanes
+    and one LAPACK call, with zero multipliers where one lane meets the next."""
+    kd = len(mults)
+    band = np.zeros(rhs.shape + (kd + 1,), rhs.dtype)
+    for k, m in enumerate(mults, 1):
+        cut = max(rhs.shape[-1] - k, 0)
+        np.negative(m, out=band[..., :cut, k])
+    tbtrs = lapack.ztbtrs if rhs.dtype.kind == "c" else lapack.dtbtrs
+    x, info = tbtrs(band.reshape(-1, kd + 1).T, rhs.reshape(-1), "L", trans, "U")
+    assert info == 0
+    return x.reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("trans", ["N", "C"])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape, per_lane", [
+    ((5, 7, 3001), False),   # 35 lanes in blocks of 2 or 5 that 7 does not divide
+    ((5, 7, 3001), True),
+    ((3, 12, 2400), False),  # the training step's LRU/S4D lanes
+    ((2, 1, 9000), True),    # one lane per block
+    ((2, 3, 1), False),      # L = 1: no subdiagonal
+    ((0, 12, 50), False),    # no lanes
+    ((4, 6, 0), True)])      # no steps
+def test_blocked_solve_bit_identical_to_one_band(shape, per_lane, cplx, trans, monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    rng = np.random.default_rng(21)
+    L = shape[-1]
+    mshape = shape[:-1] + (max(L - 1, 0),) if per_lane else (shape[1], 1)
+    m = rng.uniform(-0.95, 0.95, mshape)
+    rhs = rng.standard_normal(shape)
+    if cplx:
+        m = m * np.exp(1j * rng.uniform(-np.pi, np.pi, mshape))
+        rhs = rhs + 1j * rng.standard_normal(shape)
+    x = rhs.copy()
+    scans._solve([m], x, trans)
+    assert np.array_equal(x, _one_band_solve([m], rhs, trans))
+    if 2 * rhs.nbytes <= scans.BAND_BYTES:
+        assert len(calls) == 1
+    else:  # blocks of whole lanes, each band within BAND_BYTES unless it holds one lane
+        assert len(calls) > 1 and sum(rows for _, rows in calls) == rhs.size
+        assert all(band <= scans.BAND_BYTES or rows == L for band, rows in calls)
+
+
+def test_blocked_solve_filters_one_long_signal_in_one_call(monkeypatch):
+    # linear_filter's 1-d case with two subdiagonals has one lane: one band, one call
+    calls = _count_solver_calls(monkeypatch)
+    b, a = _rbj_lowpass(1000.0, 0.7, 48000)
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, 48000)
+    y = linear_filter(b, a, x)
+    assert calls == [(3 * 48000 * 8, 48000)]
+    w = b[0] * x
+    for k in range(1, len(b)):
+        w[k:] += b[k] * x[:-k]
+    assert np.array_equal(y, _one_band_solve([-ak for ak in a[1:]], w, "N"))
+
+
 # ---------------------------------------------------------------------------
 # IIR filter: the oracle effects' filters against scipy.signal.lfilter
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,27 @@ def test_lr_schedule_literal_formula():
 def test_train_config_rejects_nonpositive_or_nonfinite(field, value):
     with pytest.raises(InputError, match=field):
         TrainConfig(**{field: value})
+
+
+MAKERS = {"TrainConfig": TrainConfig,
+          "ModelConfig": lambda **kw: ModelConfig("lstm", **kw),
+          "Model.init": lambda seed: Model.init(ModelConfig("lstm"), seed)}
+
+
+@pytest.mark.parametrize("make, field, value", [
+    ("TrainConfig", "segment_len", 2400.5), ("TrainConfig", "segment_len", True),
+    ("TrainConfig", "batch_size", 2.5), ("TrainConfig", "max_epochs", 1.5),
+    ("TrainConfig", "patience", 0.5), ("TrainConfig", "seed", 1.5), ("TrainConfig", "seed", -1),
+    ("ModelConfig", "cond_dim", 1.5), ("ModelConfig", "cond_dim", True),
+    ("ModelConfig", "sample_rate", 0), ("ModelConfig", "sample_rate", -1),
+    ("ModelConfig", "sample_rate", 44100.5),
+    ("Model.init", "seed", -1), ("Model.init", "seed", 0.5)])
+def test_configs_reject_fractional_boolean_and_negative_counts(make, field, value):
+    # checked on construction: these used to fail later with a raw TypeError
+    # or ValueError, or (segment_len=True) to train on 1-sample segments
+    with pytest.raises(InputError, match=field):
+        MAKERS[make](**{field: value})
+    MAKERS[make](**{field: np.int64(1)})  # numpy integers are integers
 
 
 def test_lr_schedule_staged_default():
@@ -149,6 +172,29 @@ def test_batched_gradients_equal_mean_of_lane_gradients(arch):
     for name, g in grads.items():
         mean = sum(lane[name] for lane in lanes) / B
         assert np.max(np.abs(g - mean)) <= 1e-12 * np.max(np.abs(mean)), name
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_segment_peak_memory_per_lane_sample(arch):
+    # one training step holds at most 1.25 KB per lane-sample at its peak
+    # (3 lanes x 2400 samples: 9.0 MB), counted by tracemalloc over numpy's
+    # allocations; the second call runs with every cache warm
+    rng = np.random.default_rng(5)
+    m = Model.init(ModelConfig(arch, cond_dim=2), seed=3)
+    B, L = 3, 2400
+    x = rng.uniform(-0.9, 0.9, (B, L))
+    t = np.tanh(2.0 * x)
+    p = rng.uniform(0, 1, (B, 2))
+    state = m.init_state(B)
+    backward_segment(m, state, x, t, p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backward_segment(m, state, x, t, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1250 * B * L, f"{peak / (B * L):.0f} bytes per lane-sample"
+
 
 @pytest.mark.parametrize("arch", ["lstm", "lru"])
 def test_empty_segment_rejected(arch):
