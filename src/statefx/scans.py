@@ -230,34 +230,40 @@ def _solve(mults, rhs, trans):
     when every lane fits, that is one call.
     """
     kd, L = len(mults), rhs.shape[-1]
-    blocks, lanes = [()], rhs.shape[:-1]
-    if rhs.ndim > 1 and rhs.nbytes * (kd + 1) > BAND_BYTES:
-        lead, lane = lanes, L * (kd + 1) * rhs.itemsize  # band bytes per lane
-        # the first lead axis a whose trailing lanes fit; blocks run along axis a - 1
-        a = next((a for a in range(1, len(lead)) if math.prod(lead[a:]) * lane <= BAND_BYTES), len(lead))
-        step = max(1, BAND_BYTES // (math.prod(lead[a:]) * lane))
-        blocks = [head + (slice(s, s + step),) for head in np.ndindex(*lead[:a - 1])
-                  for s in range(0, lead[a - 1], step)]
-        lanes = (min(step, lead[a - 1]),) + lead[a:]
-        mults = [np.broadcast_to(m, lead + (max(L - k, 0),)) for k, m in enumerate(mults, 1)]
-    band = np.empty(lanes + (L, kd + 1), rhs.dtype)
     tbtrs = ztbtrs if rhs.dtype.kind == "c" else dtbtrs
     # A complex matmul (OpenBLAS zgemm) can leave the upper AVX register
     # state dirty; the SSE-compiled solve then ran ~18x slower on an AVX-512
     # Xeon (22 ms against 1.2 ms at B=3, L=2400).  A vectorized numpy loop
     # ends with vzeroupper, which clears that state.
     np.add(np.zeros(64), 0.0)
-    for blk in blocks:
-        x = rhs[blk] if blk else rhs
-        bb = band[:len(x)] if blk else band            # row 0 (unit diagonal) is never read
-        for k, m in enumerate(mults, 1):
-            cut = max(L - k, 0)
-            np.negative(m[blk] if blk else m, out=bb[..., :cut, k])
-            bb[..., cut:, k] = 0.0                     # lanes do not couple
-        # positional (uplo, trans, diag, overwrite_b): f2py parses keywords slower
-        _, info = tbtrs(bb.reshape(-1, kd + 1).T, x.reshape(-1, 1), "L", trans, "U", 1)
-        if info != 0:
-            raise NumericError(f"banded triangular solve failed (info={info})")
+    if rhs.ndim == 1 or rhs.nbytes * (kd + 1) <= BAND_BYTES:
+        _band_solve(tbtrs, mults, rhs, np.empty(rhs.shape + (kd + 1,), rhs.dtype), trans)
+        return
+    lead, lane = rhs.shape[:-1], L * (kd + 1) * rhs.itemsize  # band bytes per lane
+    # the first lead axis a whose trailing lanes fit; blocks run along axis a - 1
+    a = next((a for a in range(1, len(lead)) if math.prod(lead[a:]) * lane <= BAND_BYTES), len(lead))
+    step = max(1, BAND_BYTES // (math.prod(lead[a:]) * lane))
+    band = np.empty((min(step, lead[a - 1]),) + lead[a:] + (L, kd + 1), rhs.dtype)
+    mults = [np.broadcast_to(m, lead + (max(L - k, 0),)) for k, m in enumerate(mults, 1)]
+    for head in np.ndindex(*lead[:a - 1]):
+        for s in range(0, lead[a - 1], step):
+            blk = head + (slice(s, s + step),)
+            x = rhs[blk]
+            _band_solve(tbtrs, [m[blk] for m in mults], x, band[:len(x)], trans)
+
+
+def _band_solve(tbtrs, mults, x, band, trans):
+    """One LAPACK call: solve x in place through ``band`` (x.shape + (kd + 1,)),
+    filled here from the subdiagonals ``mults``; row 0 (the unit diagonal) is never read."""
+    L = x.shape[-1]
+    for k, m in enumerate(mults, 1):
+        cut = max(L - k, 0)
+        np.negative(m, out=band[..., :cut, k])
+        band[..., cut:, k] = 0.0                       # lanes do not couple
+    # positional (uplo, trans, diag, overwrite_b): f2py parses keywords slower
+    _, info = tbtrs(band.reshape(-1, len(mults) + 1).T, x.reshape(-1, 1), "L", trans, "U", 1)
+    if info != 0:
+        raise NumericError(f"banded triangular solve failed (info={info})")
 
 
 def _lanes(a):

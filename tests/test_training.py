@@ -173,6 +173,7 @@ def test_batched_gradients_equal_mean_of_lane_gradients(arch):
         mean = sum(lane[name] for lane in lanes) / B
         assert np.max(np.abs(g - mean)) <= 1e-12 * np.max(np.abs(mean)), name
 
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_backward_segment_peak_memory_per_lane_sample(arch):
     # one training step holds at most 1.25 KB per lane-sample at its peak
