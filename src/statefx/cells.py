@@ -334,6 +334,14 @@ class S6Weights:
     def a_diag(self) -> np.ndarray:
         return -np.exp(self.log_neg_a)
 
+    def validate(self) -> None:
+        # exp(log_neg_a) > 0 is exactly A < 0, and then 0 < abar < 1 for every
+        # step; where it underflows to 0, (abar - 1) / A is 0/0.
+        if not np.all(np.isfinite(self.log_neg_a)):
+            raise StabilityError("S6 log_neg_a must be finite")
+        if np.any(np.exp(self.log_neg_a) <= 0.0):
+            raise StabilityError("S6 state multipliers need A < 0 (exp(log_neg_a) > 0)")
+
 
 # ---------------------------------------------------------------------------
 # Elementwise functions: plain float64 arrays out, or floats for scalar input

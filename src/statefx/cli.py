@@ -65,6 +65,14 @@ def _number(text: str, what: str) -> float:
     return v
 
 
+def _check_finite_outputs(outputs, checkpoint) -> None:
+    """NumericError unless every output sample is finite: finite weights can
+    still overflow, and a non-finite WAV or metric row is never written."""
+    bad = sum(int(np.count_nonzero(~np.isfinite(y))) for y in outputs)
+    if bad:
+        raise NumericError(f"{checkpoint}: the model gives {bad} non-finite output samples")
+
+
 def _read_csv(path, reader=csv.reader) -> list:
     """Every row of a CSV file, or FormatError naming it when its bytes are not
     text or the csv module rejects them (an over-long field, say)."""
@@ -161,6 +169,7 @@ def cmd_eval(args) -> tuple[Path, list]:
                          f"{10 * metrics.MIN_SIGNAL_LEN / meta['sample_rate']:.2g} s or more)")
     dataset_name = meta["effect"]
     _, _, preds = training.evaluate_streams(model, test_s)
+    _check_finite_outputs(preds, args.checkpoint)
     reports = [metrics.compute_report(s.y, y_hat, model=model.config.architecture,
                                       dataset=dataset_name, split=f"comp{args.composition}/rec{i}")
                for i, (s, y_hat) in enumerate(zip(test_s, preds))]
@@ -225,6 +234,7 @@ def cmd_render(args) -> tuple[Path, list]:
                              "pass --params or --params-csv")
     state = model.init_state(1)
     y, _ = model.forward_segment(state, x, p)
+    _check_finite_outputs([y], args.checkpoint)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_wav(out, y, model.config.sample_rate)

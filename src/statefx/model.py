@@ -4,7 +4,8 @@ and the checkpoint format.
 
 Every architecture runs the same pipeline; what differs between them is
 stated once.  ``ARCH`` gives each one's weight groups, layer widths, state
-arrays and batched scan; LRU and S4D share one scan (see ``cells.DiagLti``).
+arrays, batched scan and recurrent-layer FLOPs; LRU and S4D share one scan
+(see ``cells.DiagLti``).
 Parameter names are ``"<prefix>.<field>"`` with the fields of the
 ``statefx.cells`` weight dataclasses.
 
@@ -50,6 +51,7 @@ from .errors import (
     FormatError,
     InputError,
     NumericError,
+    StabilityError,
     check_int,
 )
 
@@ -106,12 +108,6 @@ def _matmul_steps(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_substate(x: np.ndarray) -> np.ndarray:
-    """(B, L, 6) -> (B, L, 12): each S6 channel repeated for its two substates,
-    in lane-major memory like the scan's."""
-    return np.repeat(x.transpose(0, 2, 1), 2, axis=1).transpose(0, 2, 1)
-
-
 def _check_unit_range(p: np.ndarray) -> None:
     # NaN propagates through min/max and fails both comparisons; an empty
     # array has no extremes and nothing to reject
@@ -159,35 +155,20 @@ def _conditioning_flops(cond_dim: int) -> int:
     return film + affine + glu
 
 
-def _recurrent_flops(arch: str) -> int:
-    if arch in ("lstm", "ed"):
-        gates = _dense(4 * LSTM_UNITS, LSTM_UNITS + LSTM_IN)
-        act = (3 * LSTM_UNITS + 2 * LSTM_UNITS) * _ACT   # 3 sigmoid gates, 2 tanh
-        elem = 3 * LSTM_UNITS                            # c update and h product
-        cell = gates + act + elem
-        if arch == "lstm":
-            return cell
-        enc = 2 * (8 * cells.ED_KERNEL + 8)
-        merge = 2 * LSTM_UNITS * _ACT + 2 * LSTM_UNITS   # sigmoid then product
-        return enc + merge + cell
-    if arch == "lru":
-        scan = SSM_STATE * _CMUL + SSM_STATE * SSM_IN * _RCMUL + SSM_STATE * _RCMUL \
-            + 2 * SSM_STATE * _CADD
-        readout = SSM_IN * SSM_STATE * _RETERM + SSM_IN
-        return scan + readout
-    if arch == "s4d":
-        scan = SSM_STATE * _CMUL + SSM_STATE * SSM_IN * _RCMUL + SSM_STATE * _CADD
-        readout = SSM_IN * SSM_STATE * _RETERM + 2 * SSM_IN
-        return scan + readout
-    if arch == "s6":
-        delta = _dense(1, SSM_IN) + _ACT
-        maps = 2 * _dense(SSM_STATE, SSM_IN)
-        abar = SSM_STATE + SSM_STATE * _ACT
-        bbar = 3 * SSM_STATE
-        scan = 2 * SSM_STATE
-        readout = SSM_STATE + SSM_IN
-        return delta + maps + abar + bbar + scan + readout
-    raise InputError(f"unknown architecture {arch!r}")
+# Recurrent-layer FLOPs per sample, term by term; ARCH sums them per architecture.
+_LSTM_CELL = (_dense(4 * LSTM_UNITS, LSTM_UNITS + LSTM_IN)   # gates
+              + (3 * LSTM_UNITS + 2 * LSTM_UNITS) * _ACT     # activations: 3 sigmoid gates, 2 tanh
+              + 3 * LSTM_UNITS)                              # c update and h product
+_ED_ENCODER = (2 * (8 * cells.ED_KERNEL + 8)                 # encoder maps
+               + 2 * LSTM_UNITS * _ACT + 2 * LSTM_UNITS)     # merge: sigmoid then product
+_DIAG_LTI_SCAN = SSM_STATE * _CMUL + SSM_STATE * SSM_IN * _RCMUL   # lambda * h and the input map
+_DIAG_LTI_READOUT = SSM_IN * SSM_STATE * _RETERM + SSM_IN          # Re(C h), then + b_o or + D * u
+_S6_FLOPS = (_dense(1, SSM_IN) + _ACT                        # delta
+             + 2 * _dense(SSM_STATE, SSM_IN)                 # B_n and C_n maps
+             + SSM_STATE + SSM_STATE * _ACT                  # abar
+             + 3 * SSM_STATE                                 # bbar
+             + 2 * SSM_STATE                                 # scan
+             + SSM_STATE + SSM_IN)                           # readout
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +228,13 @@ class Model:
 
     def check_stability(self) -> None:
         """Run ``validate`` of every weight group whose class has one
-        (|multiplier| < 1 for the diagonal-LTI layers)."""
+        (|multiplier| < 1 for the linear recurrences); the error names the group."""
         for prefix, view in ARCH[self.config.architecture].groups:
             if hasattr(view, "validate"):
-                self.weights(prefix).validate()
+                try:
+                    self.weights(prefix).validate()
+                except StabilityError as e:
+                    raise StabilityError(f"weight group {prefix!r}: {e}") from None
 
     # -- state ----------------------------------------------------------------
 
@@ -387,8 +371,7 @@ class Model:
         sliding windows.
         """
         x, pfull, squeeze = self._batch_inputs(state, x, p)
-        if not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool) or chunk < 1:
-            raise InputError(f"chunk must be a positive integer, got {chunk!r}")
+        check_int(chunk, "chunk", 1)
         B, L = x.shape
         if L == 0:
             y = np.empty((B, 0))
@@ -622,7 +605,8 @@ class Model:
         delta = softplus(zd)
         abar = np.exp(a[:, None] * delta[:, None, :]).transpose(0, 2, 1)
         # pre = bbar * u; the pullback rebuilds B_n, C_n and bbar instead of holding them
-        pre = (abar - 1.0) / a * per_step(w.W_B, w.b_B) * _per_substate(u_seq)
+        pre = (abar - 1.0) / a * per_step(w.W_B, w.b_B)
+        np.multiply(substates(pre), u_seq[..., None], out=substates(pre))
         H = scans.diag_scan(state["h"], abar, pre)
         o_rec = substates(per_step(w.W_C, w.b_C) * H).sum(axis=3) + w.D * u_seq
 
@@ -705,7 +689,7 @@ class Model:
         cfg = self.config
         spec = ARCH[cfg.architecture]
         proj = _dense(spec.proj_units, spec.proj_window)
-        rec = _recurrent_flops(cfg.architecture)
+        rec = spec.recurrent_flops
         post = _dense(POST_UNITS, spec.readout_units) + (POST_UNITS * _ACT if spec.post_tanh else 0)
         cond = _conditioning_flops(cfg.cond_dim)
         out = _dense(1, POST_UNITS)
@@ -733,6 +717,7 @@ class ArchSpec:
     post_tanh: bool                           # tanh after the post-FC
     state: tuple[tuple[str, int, type], ...]  # (name, width, dtype) of state besides "hist"
     scan: Callable                            # batched recurrent layer, a Model._scan_* method
+    recurrent_flops: int                      # per-sample recurrent-layer FLOPs under FLOPS_CONVENTION
 
 
 _LSTM_STATE = (("h", LSTM_UNITS, np.float64), ("c", LSTM_UNITS, np.float64))
@@ -741,15 +726,18 @@ _LSTM_STATE = (("h", LSTM_UNITS, np.float64), ("c", LSTM_UNITS, np.float64))
 # their activation-free recurrent layers; LSTM and ED stay linear.
 ARCH = {
     "lstm": ArchSpec((("lstm", cells.LstmWeights),), LSTM_IN, WINDOW_LEN, LSTM_UNITS, False,
-                     _LSTM_STATE, Model._scan_lstm_family),
+                     _LSTM_STATE, Model._scan_lstm_family, _LSTM_CELL),
     "ed": ArchSpec((("enc", cells.EdEncoder), ("lstm", cells.LstmWeights)), LSTM_IN, ED_SPLIT,
-                   LSTM_UNITS, False, _LSTM_STATE, Model._scan_lstm_family),
+                   LSTM_UNITS, False, _LSTM_STATE, Model._scan_lstm_family, _ED_ENCODER + _LSTM_CELL),
+    # LRU scales the input map by gamma and adds b; S4D adds D * u
     "lru": ArchSpec((("lru", cells.LruWeights),), SSM_IN, WINDOW_LEN, SSM_IN, True,
-                    (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti),
+                    (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti,
+                    _DIAG_LTI_SCAN + SSM_STATE * _RCMUL + 2 * SSM_STATE * _CADD + _DIAG_LTI_READOUT),
     "s4d": ArchSpec((("s4d", cells.S4dWeights),), SSM_IN, WINDOW_LEN, SSM_IN, True,
-                    (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti),
+                    (("h", SSM_STATE, np.complex128),), Model._scan_diag_lti,
+                    _DIAG_LTI_SCAN + SSM_STATE * _CADD + _DIAG_LTI_READOUT + SSM_IN),
     "s6": ArchSpec((("s6", cells.S6Weights),), SSM_IN, WINDOW_LEN, SSM_IN, True,
-                   (("h", SSM_STATE, np.float64),), Model._scan_s6),
+                   (("h", SSM_STATE, np.float64),), Model._scan_s6, _S6_FLOPS),
 }
 ARCHITECTURES = tuple(ARCH)
 
@@ -786,13 +774,12 @@ class Checkpoint:
     best_epoch: int = -1
 
     def to_model(self) -> Model:
-        return Model(self.config, {k: v.copy() for k, v in self.params.items()})
+        return Model(self.config, self.params).copy()
 
     @classmethod
     def from_model(cls, model: Model, history: dict[str, np.ndarray] | None = None,
                    best_epoch: int = -1) -> "Checkpoint":
-        return cls(model.config, {k: v.copy() for k, v in model.params.items()},
-                   dict(history or {}), best_epoch)
+        return cls(model.config, model.copy().params, dict(history or {}), best_epoch)
 
     def save(self, path) -> None:
         buf = io.StringIO()
@@ -889,6 +876,10 @@ class Checkpoint:
         bad = sorted(k for k, v in params.items() if not np.all(np.isfinite(v)))
         if bad:
             raise FormatError(f"{path}: non-finite values in {bad}")
+        try:
+            Model(config, params).check_stability()
+        except StabilityError as e:
+            raise FormatError(f"{path}: unstable recurrence, {e}") from None
         return cls(config, params, history, best_epoch)
 
 

@@ -273,7 +273,7 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
     moments = AdamState.for_model(model)
     history = TrainHistory()
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    best_params = model.copy().params
     seg = cfg.segment_len
 
     usable = [s for s in split.train if len(s.x) >= seg]
@@ -320,7 +320,7 @@ def train(model: Model, split: TrainSplit, cfg: TrainConfig, epoch_callback=None
         if mse_val < best_val:
             best_val = mse_val
             history.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best_params = model.copy().params
         if epoch_callback is not None and epoch_callback(epoch, model, history):
             break
         if epoch - history.best_epoch > cfg.patience:

@@ -234,6 +234,47 @@ def conditioning_oracle(film_W, film_b, glu_W, glu_b, o, p):
     return q1 * ss
 
 
+def forward_sample_oracle(arch, prm, state, window, p=None):
+    """One output sample of a model, composed of the step oracles above.
+
+    ``prm`` is the model's parameter dict, ``state`` holds the 1-d recurrent
+    state ("h", and "c" for the LSTM family) and ``window`` the 64 newest
+    samples, newest first.  Returns (y, new state) in the same form.
+    """
+    h = state["h"]
+    new_state = {}
+    if arch in ("lstm", "ed"):
+        c = state["c"]
+        if arch == "ed":  # the newest half feeds the projection, the oldest the encoder
+            u = project_oracle(prm["proj.W"], prm["proj.b"], window[:32])
+            ch, cc = ed_encode_oracle(prm["enc.kernel_h"], prm["enc.bias_h"][0],
+                                      prm["enc.kernel_c"], prm["enc.bias_c"][0], window[32:])
+            h, c = ed_merge_oracle(h, c, ch, cc)
+        else:
+            u = project_oracle(prm["proj.W"], prm["proj.b"], window)
+        h, new_state["c"] = lstm_step_oracle(prm["lstm.W"], prm["lstm.U"], prm["lstm.b"], h, c, u)
+        o_rec = h
+        post = matvec_oracle(prm["post.W"], o_rec) + prm["post.b"]
+    else:
+        u = project_oracle(prm["proj.W"], prm["proj.b"], window)
+        if arch == "lru":
+            h, o_rec = lru_step_oracle(*(prm[f"lru.{k}"] for k in ("nu", "theta", "U_re", "U_im", "b_re",
+                                                                    "b_im", "W_re", "W_im", "b_o")), h, u)
+        elif arch == "s4d":
+            a_diag = -np.exp(prm["s4d.log_neg_a_re"]) + 1j * prm["s4d.a_im"]
+            h, o_rec = s4d_step_oracle(a_diag, np.exp(prm["s4d.log_delta"]),
+                                       prm["s4d.B_re"] + 1j * prm["s4d.B_im"],
+                                       prm["s4d.C_re"] + 1j * prm["s4d.C_im"], prm["s4d.D"], h, u)
+        else:
+            h, o_rec = s6_step_oracle(prm["s6.log_neg_a"], prm["s6.W_delta"], prm["s6.b_delta"][0],
+                                      prm["s6.W_B"], prm["s6.b_B"], prm["s6.W_C"], prm["s6.b_C"],
+                                      prm["s6.D"], h, u)
+        post = np.tanh(matvec_oracle(prm["post.W"], o_rec) + prm["post.b"])  # tanh for the SSMs
+    new_state["h"] = h
+    oc = conditioning_oracle(prm.get("film.W"), prm.get("film.b"), prm["glu.W"], prm["glu.b"], post, p)
+    return float(prm["out.W"] @ oc + prm["out.b"][0]), new_state
+
+
 # ---------------------------------------------------------------------------
 # Statistics (full enumeration)
 # ---------------------------------------------------------------------------

@@ -371,6 +371,18 @@ def test_s6_zero_b_map_keeps_state_dark():
     assert np.allclose(o, w.D * u, atol=1e-12)
 
 
+def test_s6_validate_rejects_a_that_is_not_negative():
+    # exp(-700) > 0 still gives A < 0; exp(-800) rounds to 0 and A to -0.0
+    w = random_s6(RNG)
+    w.validate()
+    w.log_neg_a[:] = -700.0
+    w.validate()
+    for bad in (-800.0, np.nan, np.inf):
+        w.log_neg_a[0] = bad
+        with pytest.raises(StabilityError):
+            w.validate()
+
+
 def test_s6_constant_input_reduces_to_s4d_form():
     rng = np.random.default_rng(31)
     w = random_s6(rng)

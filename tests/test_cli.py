@@ -222,6 +222,61 @@ def test_nonfinite_checkpoint_weight_format_error(dataset_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def _eval_and_render(ckpt, dataset_dir, tmp_path):
+    """The eval and render argv of one conditioned checkpoint, and render's WAV."""
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, RNG.uniform(-0.5, 0.5, 1000))
+    out = tmp_path / "o.wav"
+    return ([["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+              "--composition", "1", "--out", str(tmp_path / "e")],
+             ["render", "--checkpoint", str(ckpt), "--input", str(wav_in),
+              "--params", "0.5", "--out", str(out)]], out)
+
+
+@pytest.mark.parametrize("arch, name", [("s6", "s6.log_neg_a"), ("lru", "lru.nu")])
+def test_degenerate_recurrence_checkpoint_format_error(dataset_dir, tmp_path, capsys, arch, name):
+    # exp(-800) underflows to 0: S6's A is -0.0, so (abar - 1) / A is 0/0, and
+    # LRU's |lambda| is exactly 1; both are finite weights that load must refuse
+    m = Model.init(ModelConfig(arch, cond_dim=1), seed=0)
+    m.params[name][0] = -800.0
+    ckpt = tmp_path / "m.sfx"
+    Checkpoint.from_model(m).save(ckpt)
+    argvs, out = _eval_and_render(ckpt, dataset_dir, tmp_path)
+    for argv in argvs:
+        assert run(argv) == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format error:") and repr(arch) in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("arch", ["lstm", "ed", "lru", "s4d", "s6"])
+def test_overflowing_weights_numeric_error_before_writing(dataset_dir, tmp_path, capsys, arch):
+    # finite weights whose projection overflows: no WAV or metric row may be written
+    m = Model.init(ModelConfig(arch, cond_dim=1), seed=0)
+    m.params["proj.W"][:] = 1e308
+    ckpt = tmp_path / "m.sfx"
+    Checkpoint.from_model(m).save(ckpt)
+    argvs, out = _eval_and_render(ckpt, dataset_dir, tmp_path)
+    for argv in argvs:
+        with np.errstate(all="ignore"):
+            assert run(argv) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:") and "non-finite" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "e").exists()
+
+
+def test_tiny_s6_decay_checkpoint_renders(dataset_dir, tmp_path):
+    # exp(-700) > 0 keeps A < 0, so the recurrence is stable by construction
+    m = Model.init(ModelConfig("s6", cond_dim=1), seed=0)
+    m.params["s6.log_neg_a"][:] = -700.0
+    ckpt = tmp_path / "m.sfx"
+    Checkpoint.from_model(m).save(ckpt)
+    argvs, out = _eval_and_render(ckpt, dataset_dir, tmp_path)
+    for argv in argvs:
+        assert run(argv) == 0
+    assert np.all(np.isfinite(load_wav(out)))
+
+
 def _render_inputs(tmp_path, cond_dim=2):
     ckpt = tmp_path / "m.sfx"
     Checkpoint.from_model(Model.init(ModelConfig("lstm", cond_dim=cond_dim), seed=2)).save(ckpt)

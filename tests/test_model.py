@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -225,48 +226,37 @@ def test_forward_sample_composition_matches_module_oracles(arch):
     if arch in ("lru", "s4d"):
         carried["h"] = carried["h"] + 1j * RNG.normal(size=(1, 12))
 
-    prm = m.params
     for state in (m.init_state(1), carried):
         y, new_state = m.forward_sample(state, window, p)
-        h_prev = state["h"][0]
+        y_ref, ref = oracles.forward_sample_oracle(arch, m.params, {k: v[0] for k, v in state.items()},
+                                                   window, p)
         if arch in ("lstm", "ed"):
-            c_prev = state["c"][0]
-            if arch == "ed":
-                u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window[:32])
-                ch, cc = oracles.ed_encode_oracle(prm["enc.kernel_h"], prm["enc.bias_h"][0],
-                                                  prm["enc.kernel_c"], prm["enc.bias_c"][0],
-                                                  window[32:])
-                h0, c0 = oracles.ed_merge_oracle(h_prev, c_prev, ch, cc)
-            else:
-                u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window)
-                h0, c0 = h_prev, c_prev
-            h, c = oracles.lstm_step_oracle(prm["lstm.W"], prm["lstm.U"], prm["lstm.b"], h0, c0, u)
-            assert np.max(np.abs(new_state["c"][0] - c)) < 1e-10
-            o_rec = h
-            post = oracles.matvec_oracle(prm["post.W"], o_rec) + prm["post.b"]
-        else:
-            u = oracles.project_oracle(prm["proj.W"], prm["proj.b"], window)
-            if arch == "lru":
-                h, o_rec = oracles.lru_step_oracle(prm["lru.nu"], prm["lru.theta"],
-                                                   prm["lru.U_re"], prm["lru.U_im"],
-                                                   prm["lru.b_re"], prm["lru.b_im"],
-                                                   prm["lru.W_re"], prm["lru.W_im"],
-                                                   prm["lru.b_o"], h_prev, u)
-            elif arch == "s4d":
-                w = m.weights("s4d")
-                h, o_rec = oracles.s4d_step_oracle(w.a_diag(), w.delta(), w.B_re + 1j * w.B_im,
-                                                   w.C_re + 1j * w.C_im, w.D, h_prev, u)
-            else:
-                h, o_rec = oracles.s6_step_oracle(prm["s6.log_neg_a"], prm["s6.W_delta"],
-                                                  prm["s6.b_delta"][0], prm["s6.W_B"],
-                                                  prm["s6.b_B"], prm["s6.W_C"], prm["s6.b_C"],
-                                                  prm["s6.D"], h_prev, u)
-            post = np.tanh(oracles.matvec_oracle(prm["post.W"], o_rec) + prm["post.b"])
-        assert np.max(np.abs(new_state["h"][0] - h)) < 1e-10
-        oc = oracles.conditioning_oracle(prm["film.W"], prm["film.b"], prm["glu.W"],
-                                         prm["glu.b"], post, p)
-        y_ref = float(prm["out.W"] @ oc + prm["out.b"][0])
+            assert np.max(np.abs(new_state["c"][0] - ref["c"])) < 1e-10
+        assert np.max(np.abs(new_state["h"][0] - ref["h"])) < 1e-10
         assert abs(y - y_ref) < 1e-10
+
+
+@pytest.mark.parametrize("cond_dim", [0, 2])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_streaming_equivalence_segment_vs_oracle(arch, cond_dim):
+    # forward_segment against the composed scalar oracles, sample by sample,
+    # from the zero state and from a random carried one (history included)
+    m = make_model(arch, cond_dim=cond_dim, seed=8)
+    rng = np.random.default_rng(80 + cond_dim)
+    p = rng.uniform(0.0, 1.0, cond_dim) if cond_dim else None
+    carried = {k: v + rng.normal(size=v.shape) for k, v in m.init_state(1).items()}
+    if arch in ("lru", "s4d"):
+        carried["h"] = carried["h"] + 1j * rng.normal(size=(1, 12))
+    x = rng.uniform(-1, 1, 256)
+    for state in (m.init_state(1), carried):
+        y_seg, end = m.forward_segment(state, x, p)
+        ext = np.concatenate([state["hist"][0], x])
+        cur = {k: v[0] for k, v in state.items()}
+        y_ref = np.empty(len(x))
+        for n in range(len(x)):
+            y_ref[n], cur = oracles.forward_sample_oracle(arch, m.params, cur, ext[n:n + 64][::-1], p)
+        assert np.max(np.abs(y_seg - y_ref)) < 1e-12
+        assert all(np.max(np.abs(end[k][0] - v)) < 1e-12 for k, v in cur.items())
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -345,7 +335,7 @@ def test_forward_sample_independent_of_batched_route():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)  # getattr(self, "...")
     batched = {"_batch_inputs", "_forward_full", "forward_segment", "_gate_inputs", "_candidates",
-               "_gram", "_per_substate", "scan", "scans"}
+               "_gram", "scan", "scans"}
     batched |= {n for n, v in vars(scans).items()
                 if inspect.isfunction(v) and v.__module__ == scans.__name__}
     assert sorted(n for n in used if n in batched or n.startswith("_scan_")) == []
@@ -422,6 +412,25 @@ def test_reference_conditioning_constant():
     assert REFERENCE_FLOPS_CONDITIONING == 120
     fl = make_model("lstm", cond_dim=2).count_flops()
     assert fl.reference_conditioning == 120
+
+
+# per-sample (projection, recurrent_layer, post_fc, output_layer, reference_total)
+# under mac1-act6
+FLOPS_PINNED = {"lstm": (260, 680, 36, 5, 1160), "ed": (132, 872, 36, 5, 1048),
+                "lru": (390, 414, 52, 5, 812), "s4d": (390, 372, 52, 5, 912),
+                "s6": (390, 343, 52, 5, 984)}
+
+
+@pytest.mark.parametrize("cond_dim, conditioning", [(0, 56), (2, 88)])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_count_flops_pinned(arch, cond_dim, conditioning):
+    # every field, exactly; cond_dim 2 adds the FiLM map 2 -> 8 and its affine, 24 + 8
+    proj, rec, post, out, reference = FLOPS_PINNED[arch]
+    assert dataclasses.asdict(make_model(arch, cond_dim=cond_dim).count_flops()) == {
+        "projection": proj, "recurrent_layer": rec, "post_fc": post,
+        "conditioning_block": conditioning, "output_layer": out,
+        "total": proj + rec + post + conditioning + out,
+        "convention": "mac1-act6", "reference_total": reference, "reference_conditioning": 120}
 
 
 # ---------------------------------------------------------------------------
