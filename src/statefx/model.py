@@ -592,8 +592,8 @@ class Model:
         ut = u_seq.transpose(0, 2, 1)
 
         # Every (B, L, 12) array is lane-major like H, so the scans run in place.
-        # The pullback's products with a per-channel (B, L, 6) array broadcast
-        # it over the substates of a (B, L, 6, 2) view instead of repeating it.
+        # Products with a per-channel (B, L, 6) array broadcast it over the
+        # substates of a (B, L, 6, 2) view instead of repeating it.
         def per_step(W, b):
             """W @ u_n + b for every step."""
             return (W @ ut + b[:, None]).transpose(0, 2, 1)
@@ -606,7 +606,8 @@ class Model:
         abar = np.exp(a[:, None] * delta[:, None, :]).transpose(0, 2, 1)
         # pre = bbar * u; the pullback rebuilds B_n, C_n and bbar instead of holding them
         pre = (abar - 1.0) / a * per_step(w.W_B, w.b_B)
-        np.multiply(substates(pre), u_seq[..., None], out=substates(pre))
+        lanes = pre.transpose(0, 2, 1).reshape(B, SSM_IN, 2, L)  # axes in memory order: numpy loops over time
+        np.multiply(lanes, ut[:, :, None], out=lanes)
         H = scans.diag_scan(state["h"], abar, pre)
         o_rec = substates(per_step(w.W_C, w.b_C) * H).sum(axis=3) + w.D * u_seq
 
